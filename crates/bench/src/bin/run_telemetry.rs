@@ -30,6 +30,9 @@ struct Cell {
     mean_ms: f64,
     /// Phase timings of the best repetition, milliseconds.
     phases_ms: [(&'static str, f64); 5],
+    /// Share of the best repetition's wall time spent in the sequential
+    /// commit phase.
+    commit_share: f64,
 }
 
 struct WorkloadRun {
@@ -85,6 +88,7 @@ fn sweep(name: &'static str, program: &Program, db: &Database) -> WorkloadRun {
                 ("commit", ns_to_ms(best.timings.commit_ns)),
                 ("aggregate", ns_to_ms(best.timings.aggregate_ns)),
             ],
+            commit_share: best.timings.commit_ns as f64 / best.timings.total_ns.max(1) as f64,
         });
     }
 
@@ -164,7 +168,8 @@ fn main() {
          emission). 'telemetry_overhead' compares best-of-interleaved \
          wall-time with full telemetry (per-round log + phase clocks) \
          against the counters-only mode; the acceptance bar is a ratio \
-         below 1.05. \
+         below 1.05. 'commit_share' is the best repetition's share of wall \
+         time in the sequential commit phase. \
          Regenerate with `cargo run --release -p bench --bin \
          run_telemetry -- $(date +%F)`.",
     );
@@ -219,6 +224,7 @@ fn main() {
             w.open_object();
             w.field_f64("best", cell.best_ms);
             w.field_f64("mean", cell.mean_ms);
+            w.field_f64("commit_share", cell.commit_share);
             w.key("best_phases");
             w.open_object();
             for (phase, ms) in cell.phases_ms {

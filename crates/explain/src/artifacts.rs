@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vadalog::telemetry::{Budget, RunGuard};
 use vadalog::{
-    ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
-    RuleId, Symbol,
+    ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone,
+    MetricsRegistry, Program, RuleId, Symbol,
 };
 
 /// The immutable once-per-application build product of the explanation
@@ -68,6 +68,7 @@ impl ProgramArtifacts {
             enhancer: None,
             guard: RunGuard::default(),
             analysis: AnalysisConfig::default(),
+            metrics: None,
         }
     }
 
@@ -414,6 +415,7 @@ pub struct ArtifactsBuilder<'a> {
     enhancer: Option<(&'a dyn Enhancer, u32)>,
     guard: RunGuard,
     analysis: AnalysisConfig,
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl std::fmt::Debug for ArtifactsBuilder<'_> {
@@ -465,6 +467,22 @@ impl<'a> ArtifactsBuilder<'a> {
         self
     }
 
+    /// Directs the build's metrics (and the cache traffic of
+    /// [`ArtifactCache::get_or_build`]) into `registry` instead of the
+    /// process-wide [`vadalog::obs::metrics::global`] registry. Not part
+    /// of the [fingerprint](ArtifactsBuilder::fingerprint).
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> ArtifactsBuilder<'a> {
+        self.metrics = Some(registry);
+        self
+    }
+
+    /// The registry this build reports into.
+    fn metrics_registry(&self) -> Arc<MetricsRegistry> {
+        self.metrics
+            .clone()
+            .unwrap_or_else(|| vadalog::obs::metrics::global().clone())
+    }
+
     /// The build's cache fingerprint: FNV-1a over the program text, the
     /// goal, the analysis caps and the glossary text. `None` when the
     /// build cannot be keyed — an opaque enhancer is attached, or a
@@ -498,11 +516,12 @@ impl<'a> ArtifactsBuilder<'a> {
         };
         let mut report = PipelineReport::default();
 
+        let registry = self.metrics_registry();
         artifacts_trip(&self.guard, start)?;
         let t = Instant::now();
         let analysis = {
             let _span = vadalog::span!("explain.analysis");
-            vadalog::obs::metrics::global()
+            registry
                 .counter(
                     "vadalog_explain_analysis_runs_total",
                     "Structural analyses actually executed (cache misses and uncached builds).",
@@ -577,7 +596,6 @@ impl<'a> ArtifactsBuilder<'a> {
         report.enhancement_retries = u64::from(stats.enhancement_retries);
         report.enhancement_fallbacks = stats.enhancement_fallbacks as u64;
         report.total_ns = start.elapsed().as_nanos() as u64;
-        let registry = vadalog::obs::metrics::global();
         registry
             .counter(
                 "vadalog_explain_builds_total",
@@ -692,7 +710,7 @@ impl ArtifactCache {
         key: u64,
         builder: ArtifactsBuilder<'_>,
     ) -> Result<Arc<ProgramArtifacts>, ExplainError> {
-        let registry = vadalog::obs::metrics::global();
+        let registry = builder.metrics_registry();
         if let Some(hit) = self.inner.lock().unwrap().get(&key) {
             registry
                 .counter(
@@ -829,28 +847,34 @@ mod tests {
 
     #[test]
     fn cached_builds_share_one_edition_and_run_analysis_once() {
+        // A private cache and registry: other tests of this binary build
+        // through (and clear) the process-wide ones concurrently.
         let parsed = reach_program();
-        let runs = vadalog::obs::metrics::global().counter(
+        let cache = ArtifactCache::default();
+        let registry = Arc::new(MetricsRegistry::new());
+        let cached = |builder: ArtifactsBuilder<'_>| {
+            let key = builder.fingerprint().expect("fingerprintable build");
+            cache
+                .get_or_build(key, builder.with_metrics(registry.clone()))
+                .unwrap()
+        };
+        let a = cached(ProgramArtifacts::builder(parsed.program.clone(), "reach"));
+        let b = cached(ProgramArtifacts::builder(parsed.program.clone(), "reach"));
+        assert!(Arc::ptr_eq(&a, &b), "cache hit must share the edition");
+        let runs = registry.counter(
             "vadalog_explain_analysis_runs_total",
             "Structural analyses actually executed (cache misses and uncached builds).",
         );
-        let before = runs.get();
-        let a = ProgramArtifacts::builder(parsed.program.clone(), "reach")
-            .build_cached()
-            .unwrap();
-        let b = ProgramArtifacts::builder(parsed.program.clone(), "reach")
-            .build_cached()
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache hit must share the edition");
-        assert_eq!(runs.get() - before, 1, "analysis must run exactly once");
+        assert_eq!(runs.get(), 1, "analysis must run exactly once");
         // A different analysis configuration is a different deployment.
-        let c = ProgramArtifacts::builder(parsed.program, "reach")
-            .with_analysis_config(AnalysisConfig {
-                max_path_rules: 8,
-                max_paths: 2048,
-            })
-            .build_cached()
-            .unwrap();
+        let c = cached(
+            ProgramArtifacts::builder(parsed.program, "reach").with_analysis_config(
+                AnalysisConfig {
+                    max_path_rules: 8,
+                    max_paths: 2048,
+                },
+            ),
+        );
         assert!(!Arc::ptr_eq(&a, &c));
     }
 

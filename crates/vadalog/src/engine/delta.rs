@@ -45,7 +45,14 @@
 //!
 //! Programs using aggregates or existential invention fall back to
 //! [`DeltaStrategy::FullRechase`]: a from-scratch chase on the updated
-//! EDB, which trivially satisfies the determinism contract.
+//! EDB, which trivially satisfies the determinism contract. For
+//! aggregates the obstacle is the group state: the chase keeps each
+//! aggregate rule's contributors only for the duration of a run (see
+//! `engine::aggregate`), and DRed's over-delete and re-derive would have
+//! to retract contributors from those groups and refold them, then
+//! replay the supersession chain of each group's aggregate facts in
+//! from-scratch order. Maintaining groups across deltas is the step this
+//! state prepares but does not take.
 
 use super::{
     join_plans, match_body_incremental_planned, match_body_planned, prune_ablation_default, Chase,

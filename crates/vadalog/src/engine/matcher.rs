@@ -154,6 +154,10 @@ pub struct JoinPlan {
     /// existentially-quantified head; `None` when the rule has no
     /// existentials or no position is statically bound.
     pub head: Option<Vec<usize>>,
+    /// The rule's existentially-quantified head variables
+    /// ([`Rule::existential_variables`]), computed once for the chase's
+    /// firing and satisfaction check.
+    pub existentials: Vec<Symbol>,
 }
 
 impl JoinPlan {
@@ -175,7 +179,8 @@ impl JoinPlan {
             .negated_body()
             .map(|atom| bound_positions(atom, &bound))
             .collect();
-        let head = match (&rule.head, rule.existential_variables()) {
+        let existentials = rule.existential_variables();
+        let head = match (&rule.head, &existentials) {
             (crate::rule::Head::Atom(h), ex) if !ex.is_empty() => {
                 let sig: Vec<usize> = h
                     .terms
@@ -195,6 +200,7 @@ impl JoinPlan {
             positive,
             negated,
             head,
+            existentials,
         }
     }
 
@@ -217,6 +223,7 @@ impl JoinPlan {
             positive,
             negated: rule.negated_body().map(|_| Vec::new()).collect(),
             head: None,
+            existentials: rule.existential_variables(),
         }
     }
 

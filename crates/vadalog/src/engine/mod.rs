@@ -2,10 +2,12 @@
 //!
 //! The engine implements the (restricted) chase of Sec. 3: rules are
 //! applied round by round until no chase step adds knowledge. Monotonic
-//! aggregations are evaluated per round over all currently visible
-//! contributors, so aggregate facts grow towards their fixpoint value and
-//! the full contributor set is recorded as provenance (cf. Fig. 8, where
+//! aggregations fold over all currently visible contributors, so
+//! aggregate facts grow towards their fixpoint value and the full
+//! contributor set is recorded as provenance (cf. Fig. 8, where
 //! `Risk(C,11)` is premised on both `Debts(B,C,2)` and `Debts(B,C,9)`).
+//! Each aggregate rule keeps its groups' contributors across rounds and
+//! refolds only the groups a round changed (the private `aggregate` module).
 //!
 //! # Parallel matching, sequential commit
 //!
@@ -23,7 +25,7 @@
 //!    lower-id rules), restoring exactly the intra-round visibility of a
 //!    sequential evaluation. The union is filtered against superseded
 //!    facts, sorted by premise-id vector (lexicographic) and fired in
-//!    that order. Aggregation re-grouping, the restricted-chase
+//!    that order. Aggregate group merging and folding, the restricted-chase
 //!    existential satisfaction check, labelled-null invention and
 //!    provenance recording all live in this phase: they read and write
 //!    global state.
@@ -35,6 +37,7 @@
 //! scheduling. `threads == 1` executes the same phases inline without
 //! spawning.
 
+mod aggregate;
 mod delta;
 mod matcher;
 
@@ -56,13 +59,14 @@ use crate::faultpoint;
 use crate::obs::metrics::{Histogram, MetricsRegistry};
 use crate::program::Program;
 use crate::provenance::{ChaseGraph, Derivation};
-use crate::rule::{AggFunc, Head, Rule, RuleId};
+use crate::rule::{Head, Rule, RuleId};
 use crate::symbol::Symbol;
 use crate::telemetry::{
     ArmedGuard, Budget, RoundStats, RuleStats, RunGuard, RunReport, Termination,
 };
 use crate::term::Term;
 use crate::value::Value;
+use aggregate::AggregateState;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -104,10 +108,12 @@ pub struct ChaseConfig {
     /// the `join_plan` bench. Only meaningful while
     /// `use_positional_index` is on.
     pub join_planning: bool,
-    /// Evaluate non-aggregate rules semi-naively: after the first round,
-    /// only matches involving at least one new fact are enumerated
-    /// (default). Aggregate rules always re-match fully, since their
-    /// groups fold over all contributors.
+    /// Evaluate rules semi-naively: after a rule's first evaluation, only
+    /// matches involving at least one new fact are enumerated (default).
+    /// Aggregate rules keep their groups' contributors across rounds and
+    /// refold only the groups that changed. Disabling re-matches every
+    /// rule in full and regroups every aggregate at every evaluation —
+    /// the reference the incremental path is tested against.
     pub semi_naive: bool,
     /// Worker threads for the parallel match phase. `0` (default) uses
     /// the available parallelism of the host; `1` evaluates inline
@@ -647,6 +653,8 @@ impl<'p> ChaseSession<'p> {
             seen_derivations,
             last_seen_len,
             agg_current,
+            agg_states: program.rules().iter().map(|_| None).collect(),
+            superseded: Vec::new(),
             violations,
             initial_facts,
             report: RunReport::default(),
@@ -838,6 +846,13 @@ struct Chase<'p> {
     /// supersedes (deactivates) the previous partial fact, so downstream
     /// rules never sum a partial and a full aggregate of the same group.
     agg_current: HashMap<(RuleId, Vec<Value>), FactId>,
+    /// Group state per aggregate rule, kept across rounds while the rule
+    /// is evaluated semi-naively; `None` until the rule's first
+    /// evaluation in this run (which then matches in full).
+    agg_states: Vec<Option<AggregateState>>,
+    /// Every fact superseded during this run, in deactivation order: the
+    /// log each [`AggregateState`] replays to drop stale contributors.
+    superseded: Vec<FactId>,
     violations: Vec<String>,
     initial_facts: usize,
     /// Telemetry accumulated over this run (fresh per run: a resumed run
@@ -918,6 +933,8 @@ impl<'p> Chase<'p> {
             seen_derivations: HashSet::new(),
             last_seen_len: vec![usize::MAX; program.len()],
             agg_current: HashMap::new(),
+            agg_states: program.rules().iter().map(|_| None).collect(),
+            superseded: Vec::new(),
             violations: Vec::new(),
             initial_facts,
             report: RunReport::default(),
@@ -1146,10 +1163,17 @@ impl<'p> Chase<'p> {
         self.config.full_telemetry.then(Instant::now)
     }
 
-    /// The governed memory observation: the deterministic O(1) running
-    /// estimates of the fact store and the chase graph.
+    /// The governed memory observation: the deterministic running
+    /// estimates of the fact store, the chase graph and the aggregate
+    /// group state.
     fn memory_bytes(&self) -> u64 {
-        (self.db.approx_bytes() + self.graph.approx_bytes()) as u64
+        let groups: usize = self
+            .agg_states
+            .iter()
+            .flatten()
+            .map(AggregateState::approx_bytes)
+            .sum();
+        (self.db.approx_bytes() + self.graph.approx_bytes() + groups) as u64
     }
 
     /// Appends one round to the report's round log (full telemetry only).
@@ -1557,14 +1581,21 @@ impl<'p> Chase<'p> {
             .is_none_or(|cone| cone.includes_rule(RuleId(idx)))
     }
 
-    /// True iff `rule` is matched semi-naively (delta expansion per pivot)
-    /// at its current watermark.
-    fn is_incremental(&self, rule: &Rule, watermark: usize) -> bool {
-        self.config.semi_naive
-            && self.config.use_positional_index
+    /// True iff the configuration evaluates rules semi-naively (and keeps
+    /// aggregate group state across rounds).
+    fn semi_naive(&self) -> bool {
+        self.config.semi_naive && self.config.use_positional_index
+    }
+
+    /// True iff rule `idx` is matched semi-naively (delta expansion per
+    /// pivot) at its current watermark. An aggregate rule qualifies once
+    /// it holds group state: its first evaluation in a run — fresh or
+    /// resumed — matches in full and builds that state.
+    fn is_incremental(&self, idx: usize, rule: &Rule, watermark: usize) -> bool {
+        self.semi_naive()
             && watermark != usize::MAX
-            && !rule.has_aggregate()
             && !rule.is_constraint()
+            && (!rule.has_aggregate() || self.agg_states[idx].is_some())
     }
 
     /// The parallel match phase: enumerates the body matches of every
@@ -1596,7 +1627,7 @@ impl<'p> Chase<'p> {
                 continue;
             }
             let parts = self.parts_for(rule, threads);
-            if self.is_incremental(rule, watermark) {
+            if self.is_incremental(idx, rule, watermark) {
                 let n_atoms = rule.positive_body().count();
                 for pivot in 0..n_atoms {
                     for part in 0..parts {
@@ -1826,8 +1857,9 @@ impl<'p> Chase<'p> {
     /// uninterrupted round. In `completion` mode (resuming such a trip)
     /// no snapshot phase ran, so each rule re-derives the full match set
     /// this round would have seen: the semi-naive delta from the rule's
-    /// own restored watermark, or — for aggregate/naive rules, whose
-    /// firing folds over *all* contributors — a full re-match.
+    /// own restored watermark, or — for naive rules and for aggregate
+    /// rules without group state, whose firing folds over *all*
+    /// contributors — a full re-match.
     #[allow(clippy::too_many_arguments)]
     fn commit_phase(
         &mut self,
@@ -1870,14 +1902,23 @@ impl<'p> Chase<'p> {
                 rule: rule.label.clone(),
                 source,
             };
+            let incremental = self.is_incremental(idx, rule, watermark);
             let mut metrics = MatchMetrics::default();
-            let mut matches = match phase_matches.remove(&idx) {
+            let phase = phase_matches.remove(&idx);
+            // A rule folding over all its matches needs them all at its
+            // turn. When the snapshot phase skipped it (no new facts at
+            // round start), the top-up alone would hand it only the
+            // matches over facts committed earlier in this round.
+            let full_fold = rule.has_aggregate() && !incremental;
+            let rematch =
+                completion || (phase.is_none() && full_fold && self.config.use_positional_index);
+            let mut matches = match phase {
                 Some(result) => result.map_err(eval_err)?,
                 None => Vec::new(),
             };
             let phase_count = matches.len();
-            if completion {
-                matches = if self.is_incremental(rule, watermark) {
+            if rematch {
+                matches = if incremental {
                     match_body_incremental_planned(
                         &mut self.db,
                         rule,
@@ -1926,24 +1967,21 @@ impl<'p> Chase<'p> {
             }
             {
                 // Snapshot-phase matches were already counted at merge
-                // time; attribute only what this phase added (completion
-                // and ablation replace the — empty — phase set outright).
-                let newly_enumerated = matches.len().saturating_sub(if completion {
-                    0
-                } else if self.config.use_positional_index {
-                    phase_count
-                } else {
-                    0
-                }) as u64;
+                // time; attribute only what this phase added (a re-match
+                // or the ablation replaces the — then empty — phase set).
                 let stats = &mut self.report.rules[idx];
                 stats.index_probes += metrics.index_probes;
                 stats.scans += metrics.scans;
                 stats.composite_probes += metrics.composite_probes;
                 stats.negation_probes += metrics.negation_probes;
                 stats.negation_scans += metrics.negation_scans;
-                stats.matches_enumerated += newly_enumerated;
+                stats.matches_enumerated += (matches.len() - phase_count) as u64;
             }
             self.last_seen_len[idx] = current_len;
+            if rule.has_aggregate() && !rule.is_constraint() {
+                changed |= self.commit_aggregate(idx, rule, matches, incremental, round)?;
+                continue;
+            }
             if matches.is_empty() {
                 continue;
             }
@@ -1964,9 +2002,58 @@ impl<'p> Chase<'p> {
         Ok(CommitControl::Completed { changed })
     }
 
-    /// Commits one rule's canonicalized matches: constraint handling,
-    /// aggregate grouping, then one chase step per match/group. Returns
-    /// true if any new fact was added.
+    /// Commits one aggregate rule's matches: merges them into the rule's
+    /// group state (fresh unless the rule is `incremental`), drops
+    /// contributors superseded since its last evaluation, and fires the
+    /// groups that changed — every group for an existential head (see
+    /// [`aggregate`]). The state is kept for the next round only under
+    /// semi-naive evaluation; the naive reference regroups from scratch
+    /// every time. Returns true if any new fact was added.
+    fn commit_aggregate(
+        &mut self,
+        idx: usize,
+        rule: &Rule,
+        matches: Vec<BodyMatch>,
+        incremental: bool,
+        round: u32,
+    ) -> Result<bool, ChaseError> {
+        let eval_err = |source| ChaseError::Eval {
+            rule: rule.label.clone(),
+            source,
+        };
+        let t = self.timer();
+        let mut state = match self.agg_states[idx].take() {
+            Some(state) if incremental => state,
+            _ => AggregateState::new(rule, self.superseded.len()),
+        };
+        state.retire(&self.superseded);
+        state.merge(rule, &self.db, matches).map_err(eval_err)?;
+        let groups = state
+            .fireable(rule, !self.plans[idx].existentials.is_empty())
+            .map_err(eval_err)?;
+        if self.semi_naive() {
+            self.agg_states[idx] = Some(state);
+        }
+        self.report.timings.aggregate_ns += lap(t);
+        let mut changed = false;
+        for group in groups {
+            changed |= self
+                .fire(
+                    RuleId(idx),
+                    rule,
+                    &group.bindings,
+                    group.premises,
+                    group.contributor_bindings,
+                    round,
+                )
+                .map_err(eval_err)?;
+        }
+        Ok(changed)
+    }
+
+    /// Commits one non-aggregate rule's canonicalized matches: a violation
+    /// for a constraint, otherwise one chase step per match. Returns true
+    /// if any new fact was added.
     fn apply_matches(
         &mut self,
         rule_id: RuleId,
@@ -1987,44 +2074,20 @@ impl<'p> Chase<'p> {
         }
 
         let mut changed = false;
-        if rule.aggregate.is_some() {
-            let t = self.timer();
-            let groups = group_matches(rule, &matches).map_err(|source| ChaseError::Eval {
-                rule: rule.label.clone(),
-                source,
-            })?;
-            self.report.timings.aggregate_ns += lap(t);
-            for group in groups {
-                changed |= self
-                    .fire(
-                        rule_id,
-                        rule,
-                        &group.bindings,
-                        group.premises,
-                        group.contributor_bindings,
-                        round,
-                    )
-                    .map_err(|source| ChaseError::Eval {
-                        rule: rule.label.clone(),
-                        source,
-                    })?;
-            }
-        } else {
-            for m in &matches {
-                changed |= self
-                    .fire(
-                        rule_id,
-                        rule,
-                        &m.bindings,
-                        m.premises.clone(),
-                        Vec::new(),
-                        round,
-                    )
-                    .map_err(|source| ChaseError::Eval {
-                        rule: rule.label.clone(),
-                        source,
-                    })?;
-            }
+        for m in &matches {
+            changed |= self
+                .fire(
+                    rule_id,
+                    rule,
+                    &m.bindings,
+                    m.premises.clone(),
+                    Vec::new(),
+                    round,
+                )
+                .map_err(|source| ChaseError::Eval {
+                    rule: rule.label.clone(),
+                    source,
+                })?;
         }
         Ok(changed)
     }
@@ -2046,7 +2109,7 @@ impl<'p> Chase<'p> {
         };
         self.report.rules[rule_id.0].firings += 1;
 
-        let existentials: HashSet<Symbol> = rule.existential_variables().into_iter().collect();
+        let existentials = &self.plans[rule_id.0].existentials;
 
         if !existentials.is_empty() {
             // Restricted chase: skip the step if the head is already
@@ -2130,8 +2193,9 @@ impl<'p> Chase<'p> {
                 .filter_map(|v| bindings.get(v).copied())
                 .collect();
             if let Some(prev) = self.agg_current.insert((rule_id, group), fact_id) {
-                if prev != fact_id {
+                if prev != fact_id && self.db.is_active(prev) {
                     self.db.deactivate(prev);
+                    self.superseded.push(prev);
                 }
             }
         }
@@ -2153,172 +2217,12 @@ impl<'p> Chase<'p> {
     }
 }
 
-/// One aggregated group: the head bindings (group key plus aggregate
-/// result), the union of contributing premises, and the per-contributor
-/// match bindings.
-struct AggGroup {
-    bindings: Bindings,
-    premises: Vec<FactId>,
-    contributor_bindings: Vec<Bindings>,
-}
-
-/// Groups matches by the head variables other than the aggregate result
-/// and folds the aggregate, checking post-aggregate conditions.
-fn group_matches(rule: &Rule, matches: &[BodyMatch]) -> Result<Vec<AggGroup>, EvalError> {
-    let agg = rule.aggregate.as_ref().expect("aggregate rule");
-    if rule.head.atom().is_none() {
-        return Ok(Vec::new());
-    }
-
-    // Group key: head variables except the aggregate result, plus body
-    // variables referenced by post-aggregate conditions (see
-    // `Rule::aggregate_group_vars`).
-    let key_vars: Vec<Symbol> = rule.aggregate_group_vars();
-
-    // Deterministic grouping: preserve first-seen group order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, m) in matches.iter().enumerate() {
-        let key: Option<Vec<Value>> = key_vars
-            .iter()
-            .map(|v| m.bindings.get(v).copied())
-            .collect();
-        // A key variable may be unbound only if it is existential; such
-        // rules (aggregate + existential group key) group everything
-        // together per distinct bound part.
-        let key = key.unwrap_or_default();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        entry.push(i);
-    }
-
-    let mut out = Vec::new();
-    for key in order {
-        let idxs = &groups[&key];
-        // Fold the aggregate over each distinct contributing match.
-        let mut inputs = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            inputs.push(agg.input.eval(&matches[i].bindings)?);
-        }
-        let value = fold_aggregate(agg.func, &inputs)?;
-
-        let mut bindings = Bindings::new();
-        for (v, val) in key_vars.iter().zip(&key) {
-            bindings.insert(*v, *val);
-        }
-        bindings.insert(agg.result, value);
-
-        // Post-aggregate conditions.
-        let mut ok = true;
-        for c in &rule.conditions {
-            let mut vars = Vec::new();
-            c.collect_vars(&mut vars);
-            if vars.contains(&agg.result) {
-                // The condition may also mention group-key variables (all
-                // bound); other body variables are out of scope post-
-                // aggregation and yield an error, which validation of
-                // reasonable programs prevents.
-                if !c.holds(&bindings)? {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-
-        let mut premises: Vec<FactId> = Vec::new();
-        for &i in idxs {
-            for &p in &matches[i].premises {
-                if !premises.contains(&p) {
-                    premises.push(p);
-                }
-            }
-        }
-        out.push(AggGroup {
-            bindings,
-            premises,
-            contributor_bindings: idxs.iter().map(|&i| matches[i].bindings.clone()).collect(),
-        });
-    }
-    Ok(out)
-}
-
-/// Folds an aggregate function over the contributed values.
-fn fold_aggregate(func: AggFunc, inputs: &[Value]) -> Result<Value, EvalError> {
-    match func {
-        AggFunc::Count => Ok(Value::Int(inputs.len() as i64)),
-        AggFunc::Sum | AggFunc::Prod => {
-            let mut acc_i: i64 = if func == AggFunc::Sum { 0 } else { 1 };
-            let mut acc_f: f64 = if func == AggFunc::Sum { 0.0 } else { 1.0 };
-            let mut is_float = false;
-            for v in inputs {
-                match v {
-                    Value::Int(i) => {
-                        if func == AggFunc::Sum {
-                            acc_i = acc_i.wrapping_add(*i);
-                            acc_f += *i as f64;
-                        } else {
-                            acc_i = acc_i.wrapping_mul(*i);
-                            acc_f *= *i as f64;
-                        }
-                    }
-                    Value::Float(f) => {
-                        is_float = true;
-                        if func == AggFunc::Sum {
-                            acc_f += *f;
-                        } else {
-                            acc_f *= *f;
-                        }
-                    }
-                    other => return Err(EvalError::NonNumericOperand(*other)),
-                }
-            }
-            if is_float {
-                if acc_f.is_nan() {
-                    Err(EvalError::NanResult)
-                } else {
-                    Ok(Value::Float(acc_f))
-                }
-            } else {
-                Ok(Value::Int(acc_i))
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Value> = None;
-            for v in inputs {
-                best = Some(match best {
-                    None => *v,
-                    Some(b) => {
-                        let ord = b
-                            .partial_cmp_values(v)
-                            .ok_or(EvalError::NonNumericOperand(*v))?;
-                        let take_new = match func {
-                            AggFunc::Min => ord == std::cmp::Ordering::Greater,
-                            _ => ord == std::cmp::Ordering::Less,
-                        };
-                        if take_new {
-                            *v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.ok_or(EvalError::NanResult)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atom::Atom;
     use crate::expr::{CmpOp, Condition, Expr};
-    use crate::rule::RuleBuilder;
+    use crate::rule::{AggFunc, RuleBuilder};
 
     fn chase(program: &Program, db: Database) -> Result<ChaseOutcome, ChaseError> {
         ChaseSession::new(program).run(db)
@@ -2532,28 +2436,6 @@ mod tests {
             ChaseSession::new(&p).with_config(cfg).run(db),
             Err(ChaseError::ConstraintViolated { .. })
         ));
-    }
-
-    #[test]
-    fn fold_aggregates_cover_all_functions() {
-        let ints = [Value::Int(2), Value::Int(3), Value::Int(4)];
-        assert_eq!(fold_aggregate(AggFunc::Sum, &ints).unwrap(), Value::Int(9));
-        assert_eq!(
-            fold_aggregate(AggFunc::Prod, &ints).unwrap(),
-            Value::Int(24)
-        );
-        assert_eq!(fold_aggregate(AggFunc::Min, &ints).unwrap(), Value::Int(2));
-        assert_eq!(fold_aggregate(AggFunc::Max, &ints).unwrap(), Value::Int(4));
-        assert_eq!(
-            fold_aggregate(AggFunc::Count, &ints).unwrap(),
-            Value::Int(3)
-        );
-        let mixed = [Value::Int(1), Value::Float(0.5)];
-        assert_eq!(
-            fold_aggregate(AggFunc::Sum, &mixed).unwrap(),
-            Value::Float(1.5)
-        );
-        assert!(fold_aggregate(AggFunc::Sum, &[Value::str("x")]).is_err());
     }
 
     #[test]
@@ -3345,8 +3227,8 @@ mod governance_tests {
         // r2: b(x) -> c(x).        fires twice via the round-1 top-up.
         // r3: c(x), n = count(x) -> total(n).
         //   round 1: aggregates both c facts (top-up) -> total(2);
-        //   round 2: full re-match (aggregate rule) re-derives total(2),
-        //   pre-empted as a duplicate.
+        //   round 2: the delta from r3's watermark holds no c fact, so
+        //   its one group stays clean and does not fire.
         let program = parse_program(
             "r1: a(x) -> b(x).
              r2: b(x) -> c(x).
@@ -3380,11 +3262,10 @@ mod governance_tests {
         assert_eq!((r1.facts_committed, r1.duplicates_preempted), (2, 0));
         assert_eq!((r2.matches_enumerated, r2.firings), (2, 2));
         assert_eq!((r2.facts_committed, r2.duplicates_preempted), (2, 0));
-        // r3: 2 top-up matches in round 1, 2 full-rematch matches in
-        // round 2; one firing per round; the round-2 aggregate is a
-        // duplicate.
-        assert_eq!((r3.matches_enumerated, r3.firings), (4, 2));
-        assert_eq!((r3.facts_committed, r3.duplicates_preempted), (1, 1));
+        // r3: 2 top-up matches and one firing in round 1; an empty delta
+        // and no firing in round 2.
+        assert_eq!((r3.matches_enumerated, r3.firings), (2, 1));
+        assert_eq!((r3.facts_committed, r3.duplicates_preempted), (1, 0));
         assert_eq!(r3.isomorphism_checks, 0);
 
         assert_eq!(report.rounds_log.len(), 2);
@@ -3392,7 +3273,7 @@ mod governance_tests {
         assert_eq!(report.rounds_log[0].facts_end, 7);
         assert_eq!(report.rounds_log[0].matches, 6);
         assert_eq!(report.rounds_log[1].facts_committed, 0);
-        assert_eq!(report.rounds_log[1].matches, 2);
+        assert_eq!(report.rounds_log[1].matches, 0);
         assert_eq!(report.peak.facts, 7);
         assert_eq!(report.peak.derivations, 5);
         assert!(report.peak.approx_bytes > 0);

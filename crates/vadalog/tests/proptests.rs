@@ -225,8 +225,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Semi-naive evaluation derives exactly the same fact set as naive
-    /// re-evaluation, on recursive programs with aggregation and negation.
+    /// Semi-naive evaluation — delta matching, with aggregate group state
+    /// kept across rounds — produces bitwise the outcome of naive
+    /// re-evaluation at any thread count, on recursive programs with
+    /// `sum`/`min`/`count` aggregation, aggregates over superseded
+    /// aggregate facts, and negation.
     #[test]
     fn semi_naive_equals_naive(
         inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),
@@ -236,7 +239,10 @@ proptest! {
              o2: company(x) -> control(x, x).
              o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).
              o4: company(x), not controlled(x) -> top(x).
-             o5: control(x, y), x != y -> controlled(y).",
+             o5: control(x, y), x != y -> controlled(y).
+             o6: control(x, y), own(x, y, s), m = min(s) -> cheapest(x, m).
+             o7: control(x, y), n = count(y) -> reach(x, n).
+             o8: reach(x, n), t = sum(n), t > 3 -> wide(t).",
         )
         .unwrap()
         .program;
@@ -255,12 +261,18 @@ proptest! {
             }
             db
         };
-        let naive_cfg = ChaseConfig::default().with_semi_naive(false);
-        let naive = ChaseSession::new(&program).with_config(naive_cfg).run(build()).unwrap();
-        let semi = ChaseSession::new(&program).run(build()).unwrap();
-        prop_assert_eq!(naive.database.len(), semi.database.len());
-        for (_, fact) in naive.database.iter() {
-            prop_assert!(semi.database.contains(fact), "missing {}", fact);
+        let config = ChaseConfig::default().with_positional_index(true);
+        let naive = ChaseSession::new(&program)
+            .with_config(config.clone().with_semi_naive(false).with_threads(1))
+            .run(build())
+            .unwrap();
+        let expected = outcome_fingerprint(&naive);
+        for threads in [1usize, 2, 8] {
+            let semi = ChaseSession::new(&program)
+                .with_config(config.clone().with_threads(threads))
+                .run(build())
+                .unwrap();
+            prop_assert_eq!(outcome_fingerprint(&semi), expected.clone(), "threads={}", threads);
         }
     }
 }
@@ -311,10 +323,19 @@ proptest! {
 // Thread-count determinism
 // ---------------------------------------------------------------------
 
+/// Bindings rendered in variable-name order (the map is unordered).
+fn bindings_fingerprint(b: &Bindings) -> String {
+    let mut entries: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    entries.sort();
+    entries.join(",")
+}
+
 /// A full structural fingerprint of a chase outcome: every fact in id
-/// order (with its activity flag), every recorded derivation, and the
-/// round count. Two outcomes with equal fingerprints are bitwise
-/// interchangeable for every downstream consumer.
+/// order (with its activity flag), every field of every recorded
+/// derivation (premises in order, round, contributors, bindings and
+/// per-contributor bindings), and the round count. Two outcomes with
+/// equal fingerprints are bitwise interchangeable for every downstream
+/// consumer.
 fn outcome_fingerprint(out: &ChaseOutcome) -> String {
     use std::fmt::Write;
     let mut s = String::new();
@@ -322,10 +343,21 @@ fn outcome_fingerprint(out: &ChaseOutcome) -> String {
         let _ = writeln!(s, "{id} {fact} active={}", out.database.is_active(id));
     }
     for d in out.graph.derivations() {
+        let contributors: Vec<String> = d
+            .contributor_bindings
+            .iter()
+            .map(bindings_fingerprint)
+            .collect();
         let _ = writeln!(
             s,
-            "r{} {:?} -> {} round={} contrib={}",
-            d.rule.0, d.premises, d.conclusion, d.round, d.contributors
+            "r{} {:?} -> {} round={} contrib={} bindings={{{}}} contributors=[{}]",
+            d.rule.0,
+            d.premises,
+            d.conclusion,
+            d.round,
+            d.contributors,
+            bindings_fingerprint(&d.bindings),
+            contributors.join(" | ")
         );
     }
     let _ = write!(s, "rounds={}", out.rounds);

@@ -4,9 +4,28 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn write_demo() -> PathBuf {
-    let dir = std::env::temp_dir();
-    let path = dir.join("ekg_explain_cli_demo.vada");
+/// A demo program file owned by one test: its name carries the test name
+/// and the process id, so tests running in parallel (or concurrent test
+/// processes) never share a file, and it is removed when the test ends.
+struct DemoFile(PathBuf);
+
+impl DemoFile {
+    fn arg(&self) -> &str {
+        self.0.to_str().expect("temp path is UTF-8")
+    }
+}
+
+impl Drop for DemoFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn write_demo(test: &str) -> DemoFile {
+    let path = std::env::temp_dir().join(format!(
+        "ekg_explain_cli_{test}_{}.vada",
+        std::process::id()
+    ));
     std::fs::write(
         &path,
         r#"
@@ -21,7 +40,7 @@ fn write_demo() -> PathBuf {
     "#,
     )
     .expect("write demo program");
-    path
+    DemoFile(path)
 }
 
 fn run(args: &[&str]) -> (bool, String, String) {
@@ -38,8 +57,8 @@ fn run(args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn analyze_prints_reasoning_paths() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&["analyze", path.to_str().unwrap()]);
+    let demo = write_demo("analyze_prints_reasoning_paths");
+    let (ok, stdout, _) = run(&["analyze", demo.arg()]);
     assert!(ok);
     assert!(stdout.contains("recursive"));
     assert!(stdout.contains("{o1,o2,o3}*"));
@@ -48,8 +67,8 @@ fn analyze_prints_reasoning_paths() {
 
 #[test]
 fn chase_lists_derived_goal_facts() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&["chase", path.to_str().unwrap()]);
+    let demo = write_demo("chase_lists_derived_goal_facts");
+    let (ok, stdout, _) = run(&["chase", demo.arg()]);
     assert!(ok);
     assert!(stdout.contains("control(\"A\",\"C\")"), "{stdout}");
     assert!(stdout.contains("derived"));
@@ -57,13 +76,8 @@ fn chase_lists_derived_goal_facts() {
 
 #[test]
 fn explain_produces_complete_text() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&[
-        "explain",
-        path.to_str().unwrap(),
-        "--fact",
-        r#"control("A","C")"#,
-    ]);
+    let demo = write_demo("explain_produces_complete_text");
+    let (ok, stdout, _) = run(&["explain", demo.arg(), "--fact", r#"control("A","C")"#]);
     assert!(ok);
     for needle in ["60%", "30%", "40%", "70%"] {
         assert!(stdout.contains(needle), "missing {needle}: {stdout}");
@@ -73,8 +87,8 @@ fn explain_produces_complete_text() {
 
 #[test]
 fn templates_render_with_tokens() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&["templates", path.to_str().unwrap()]);
+    let demo = write_demo("templates_render_with_tokens");
+    let (ok, stdout, _) = run(&["templates", demo.arg()]);
     assert!(ok);
     assert!(stdout.contains('<'));
     assert!(stdout.contains("[{o1}]"));
@@ -82,8 +96,8 @@ fn templates_render_with_tokens() {
 
 #[test]
 fn report_explains_every_derived_fact() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&["report", path.to_str().unwrap()]);
+    let demo = write_demo("report_explains_every_derived_fact");
+    let (ok, stdout, _) = run(&["report", demo.arg()]);
     assert!(ok);
     assert!(stdout.starts_with("Business report"));
     assert!(stdout.contains("control(\"A\",\"C\")"), "{stdout}");
@@ -92,33 +106,23 @@ fn report_explains_every_derived_fact() {
 
 #[test]
 fn whynot_explains_absences() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&[
-        "whynot",
-        path.to_str().unwrap(),
-        "--fact",
-        r#"control("B","A")"#,
-    ]);
+    let demo = write_demo("whynot_explains_absences");
+    let (ok, stdout, _) = run(&["whynot", demo.arg(), "--fact", r#"control("B","A")"#]);
     assert!(ok);
     assert!(stdout.contains("was not derived"), "{stdout}");
     // For a derived fact, it points at `explain` instead.
-    let (ok, stdout, _) = run(&[
-        "whynot",
-        path.to_str().unwrap(),
-        "--fact",
-        r#"control("A","B")"#,
-    ]);
+    let (ok, stdout, _) = run(&["whynot", demo.arg(), "--fact", r#"control("A","B")"#]);
     assert!(ok);
     assert!(stdout.contains("IS derived"), "{stdout}");
 }
 
 #[test]
 fn dot_outputs_graphviz() {
-    let path = write_demo();
-    let (ok, stdout, _) = run(&["dot", path.to_str().unwrap()]);
+    let demo = write_demo("dot_outputs_graphviz");
+    let (ok, stdout, _) = run(&["dot", demo.arg()]);
     assert!(ok);
     assert!(stdout.starts_with("digraph dependency_graph {"));
-    let (ok, stdout, _) = run(&["dot", path.to_str().unwrap(), "--chase"]);
+    let (ok, stdout, _) = run(&["dot", demo.arg(), "--chase"]);
     assert!(ok);
     assert!(stdout.starts_with("digraph chase_graph {"));
 }
@@ -136,13 +140,8 @@ fn errors_exit_nonzero_with_usage() {
 
 #[test]
 fn extensional_fact_query_reports_cleanly() {
-    let path = write_demo();
-    let (ok, _, stderr) = run(&[
-        "explain",
-        path.to_str().unwrap(),
-        "--fact",
-        r#"own("A","B",0.6)"#,
-    ]);
+    let demo = write_demo("extensional_fact_query_reports_cleanly");
+    let (ok, _, stderr) = run(&["explain", demo.arg(), "--fact", r#"own("A","B",0.6)"#]);
     assert!(!ok);
     assert!(stderr.contains("extensional"), "{stderr}");
 }
