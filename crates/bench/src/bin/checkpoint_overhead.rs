@@ -17,7 +17,7 @@
 
 use std::path::Path;
 use std::time::Instant;
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{AutosavePolicy, ChaseConfig, ChaseSession, Database, Program};
 
 const THREADS: [usize; 3] = [1, 2, 8];

@@ -26,7 +26,7 @@
 use explain::{DomainGlossary, ProgramArtifacts, TemplateFlavor};
 use std::sync::Arc;
 use std::time::Instant;
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{ChaseOutcome, ChaseSession, Database, DerivationPolicy, Program};
 
 const REPS: usize = 3;

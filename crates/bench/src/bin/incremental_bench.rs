@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{ChaseOutcome, ChaseSession, Delta, DeltaStrategy, Fact, Program, Symbol};
 
 const REPS: usize = 5;

@@ -30,7 +30,7 @@ use finkg::apps::control;
 use std::sync::Arc;
 use vadalog::obs::context::{self, TraceContext};
 use vadalog::obs::span::{self, RingCollector};
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::ChaseSession;
 
 const REPS: usize = 9;

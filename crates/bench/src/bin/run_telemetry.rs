@@ -17,7 +17,7 @@
 //!
 //! Usage: `cargo run --release -p bench --bin run_telemetry [-- DATE]`.
 
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{ChaseConfig, ChaseSession, Database, Program, RunReport};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];

@@ -16,7 +16,7 @@ use explain::ProgramArtifacts;
 use serve::{ExplainService, ServeConfig, ServeError, SnapshotHandle};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{ChaseOutcome, ChaseSession, Fact};
 
 const ENTITIES: usize = 220;

@@ -24,7 +24,7 @@ use explain::{Explainer, ProgramArtifacts};
 use serve::{ExplainService, ServeConfig, SnapshotHandle};
 use std::sync::Arc;
 use std::time::Instant;
-use vadalog::telemetry::JsonWriter;
+use vadalog::obs::JsonWriter;
 use vadalog::{ChaseOutcome, ChaseSession, Fact};
 
 const ENTITIES: usize = 220;

@@ -23,7 +23,8 @@ use crate::glossary::DomainGlossary;
 use crate::structural::{AnalysisConfig, StructuralAnalysis};
 use crate::template::Template;
 use std::sync::Arc;
-use vadalog::telemetry::{JsonWriter, RunGuard};
+use vadalog::obs::JsonWriter;
+use vadalog::telemetry::RunGuard;
 use vadalog::{
     ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, DerivationPolicy, Fact, FactId, Program,
 };

@@ -1,7 +1,6 @@
 //! Equivalence and determinism suite for the static join-planning layer:
-//! the composite-index plan, the legacy single-position plan and the
-//! index-free scan ablation must enumerate the same matches in the same
-//! order — observable as bitwise-identical fact stores, `FactId`
+//! the composite-index plan and the index-free scan ablation must
+//! enumerate the same matches in the same order — observable as bitwise-identical fact stores, `FactId`
 //! assignment and derivation logs — at 1, 2 and 8 worker threads, on
 //! seeded finkg bundles and on randomized programs with negation,
 //! aggregation and existentials.
@@ -13,22 +12,16 @@ use vadalog::{parse_program, ChaseConfig, ChaseOutcome, ChaseSession, Database, 
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
-/// The three index configurations under comparison. Matches — not
+/// The two index configurations under comparison. Matches — not
 /// counters — are required to agree across them: the configs probe
 /// differently by design.
-fn configs() -> [(&'static str, ChaseConfig); 3] {
+fn configs() -> [(&'static str, ChaseConfig); 2] {
     // Index use is pinned explicitly so the sweep stays meaningful when
     // CI flips the default via VADALOG_NO_INDEX.
     [
         (
             "composite_plan",
             ChaseConfig::default().with_positional_index(true),
-        ),
-        (
-            "legacy_single_position",
-            ChaseConfig::default()
-                .with_positional_index(true)
-                .with_join_planning(false),
         ),
         (
             "scan_ablation",
@@ -163,17 +156,13 @@ fn planned_negation_and_satisfaction_never_scan() {
         sum(|r| r.composite_probes) == 0 || sum(|r| r.index_probes) >= sum(|r| r.composite_probes)
     );
 
-    // The legacy plan answers the same checks by scanning.
-    let legacy = ChaseSession::new(&program)
-        .with_config(
-            ChaseConfig::default()
-                .with_positional_index(true)
-                .with_join_planning(false),
-        )
+    // The scan ablation answers the same checks by scanning.
+    let scanned = ChaseSession::new(&program)
+        .with_config(ChaseConfig::default().with_positional_index(false))
         .run(db)
         .unwrap();
     let lsum = |f: fn(&vadalog::telemetry::RuleStats) -> u64| {
-        legacy.report.rules.iter().map(f).sum::<u64>()
+        scanned.report.rules.iter().map(f).sum::<u64>()
     };
     assert_eq!(lsum(|r| r.negation_probes), 0);
     assert!(lsum(|r| r.negation_scans) > 0);

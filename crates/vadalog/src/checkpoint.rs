@@ -1174,7 +1174,10 @@ mod tests {
         let base = ChaseConfig::default().with_positional_index(true);
         let fp = fingerprint(&program, &base);
         assert_eq!(fp, fingerprint(&program, &base.clone().with_threads(8)));
-        assert_eq!(fp, fingerprint(&program, &base.clone().with_max_rounds(3)));
+        let capped = base
+            .clone()
+            .with_guard(crate::telemetry::RunGuard::new().with_max_rounds(3));
+        assert_eq!(fp, fingerprint(&program, &capped));
         assert_ne!(fp, fingerprint(&other, &base));
         assert_ne!(
             fp,

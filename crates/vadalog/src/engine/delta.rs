@@ -55,8 +55,8 @@
 //! state prepares but does not take.
 
 use super::{
-    join_plans, match_body_incremental_planned, match_body_planned, prune_ablation_default, Chase,
-    ChaseConfig, ChaseOutcome, ChaseSession, JoinPlan, MatchMetrics,
+    delta_matches, join_plans, match_rule, prune_ablation_default, Chase, ChaseConfig,
+    ChaseOutcome, ChaseSession, JoinPlan, MatchChunk, MatchMetrics,
 };
 use crate::atom::{Atom, Fact};
 use crate::database::{Database, FactId};
@@ -571,7 +571,13 @@ fn maintain(
     let started = Instant::now();
     let mut db = live.database.clone();
     let graph = &live.graph;
-    let plans = join_plans(program, config);
+    let plans = join_plans(program);
+    // Build every planned index before any matching, as a run does.
+    for (rule, plan) in program.rules().iter().zip(&plans) {
+        for (pred, sig) in plan.required_composite_indexes(rule) {
+            db.ensure_composite_index(pred, &sig);
+        }
+    }
     let pre_add_len = db.len();
 
     // The updated extensional set and its canonical order: survivors in
@@ -726,15 +732,15 @@ fn maintain(
                 let mut metrics = MatchMetrics::default();
                 let mut matches = if needs_full[idx] {
                     needs_full[idx] = false;
-                    match_body_planned(&mut db, rule, &plans[idx], true, &mut metrics)
-                } else if watermark[idx] < current {
-                    match_body_incremental_planned(
-                        &mut db,
+                    match_rule(
+                        &db,
                         rule,
                         &plans[idx],
-                        watermark[idx] as u32,
+                        &MatchChunk::full(true),
                         &mut metrics,
                     )
+                } else if watermark[idx] < current {
+                    delta_matches(&db, rule, &plans[idx], watermark[idx] as u32, &mut metrics)
                 } else {
                     continue;
                 }
@@ -1072,17 +1078,14 @@ fn replay(
                 continue;
             }
             let mut metrics = MatchMetrics::default();
-            let matches = match_body_planned(
-                &mut ndb,
-                rule,
-                &plans[idx],
-                config.use_positional_index,
-                &mut metrics,
-            )
-            .map_err(|source| ChaseError::Eval {
-                rule: rule.label.clone(),
-                source,
-            })?;
+            let scope = MatchChunk::full(config.use_positional_index);
+            let matches =
+                match_rule(&ndb, rule, &plans[idx], &scope, &mut metrics).map_err(|source| {
+                    ChaseError::Eval {
+                        rule: rule.label.clone(),
+                        source,
+                    }
+                })?;
             let first_round = stratum_first[program.rule_stratum(RuleId(idx))];
             if let Some(first) = matches
                 .iter()

@@ -1,26 +1,25 @@
 //! Body matching: enumerating homomorphisms from rule bodies into the
-//! database.
+//! database, through the one entry point [`match_rule`].
 //!
-//! Joins are driven by a static, per-rule [`JoinPlan`]: for every body
-//! atom (positive *and* negated) the plan records the probe signature —
-//! the set of argument positions bound by constants or earlier atoms —
-//! and the engine eagerly builds exactly the matching composite indexes
-//! before its parallel phase. A candidate lookup then probes *all*
-//! statically-bound positions at once via
-//! [`Database::probe_composite`], instead of probing one position and
-//! filtering the rest per candidate.
+//! Joins are driven by a static, per-rule [`JoinPlan`]. For every
+//! semi-naive pivot the plan records a pivot-first evaluation order and,
+//! per step, the probe signature: the argument positions bound by
+//! constants or by earlier atoms of that order. It also records the
+//! signatures of the negated atoms and of the head-satisfaction check.
+//! The engine builds every planned composite index before any matching
+//! starts, so a candidate lookup probes *all* statically-bound positions
+//! at once via [`Database::probe_composite`].
 //!
-//! The core join is *read-only*: probes fall back to predicate scans when
-//! an index was never built (same ids, same order, just slower) and
-//! therefore run safely from many threads over a shared `&Database`
-//! snapshot. The `&mut` entry points kept for compatibility eagerly build
-//! the planned indexes and delegate to the read-only core.
+//! Matching is *read-only*: probes fall back to predicate scans when an
+//! index was never built (same ids, same order, just slower), so matching
+//! runs safely from many threads over a shared `&Database` snapshot.
 //!
-//! Work is decomposed into [`MatchChunk`]s — disjoint slices of the
-//! outermost join loop — whose results, concatenated in chunk order,
-//! reproduce the sequential enumeration exactly. This is what makes the
-//! parallel chase phase deterministic: enumeration order is a property of
-//! the plan and the chunk list, never of thread scheduling.
+//! A [`MatchChunk`] scopes one call: the full body, or one pivot
+//! restricted to facts at or above a watermark, and one slice of the
+//! outermost join loop. The chunks of one scope, concatenated in chunk
+//! order, reproduce its unchunked enumeration exactly. This is what makes
+//! the parallel chase phase deterministic: enumeration order is a property
+//! of the plan and the chunk list, never of thread scheduling.
 
 use crate::atom::Atom;
 use crate::database::{Database, FactId};
@@ -30,6 +29,7 @@ use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::value::Value;
+use std::collections::HashSet;
 
 /// A homomorphism from a rule body into the database: the variable
 /// bindings plus the matched premise facts (one per positive body atom, in
@@ -79,18 +79,19 @@ impl MatchMetrics {
     }
 }
 
-/// One unit of matching work against an immutable database snapshot.
+/// The scope of one [`match_rule`] call.
 ///
 /// `part`/`parts` slice the outermost candidate loop of the join: chunk
 /// `(i, n)` enumerates the `i`-th of `n` contiguous slices of the first
-/// atom's candidate list. Concatenating the results of chunks
+/// evaluated atom's candidate list. Concatenating the results of chunks
 /// `(0, n) .. (n-1, n)` yields exactly the unchunked enumeration, for any
 /// `n` — the parallel chase phase relies on this invariance.
 #[derive(Clone, Copy, Debug)]
 pub struct MatchChunk {
     /// Delta restriction: `Some((pivot, watermark))` restricts the
-    /// `pivot`-th positive body atom to facts with id >= `watermark`
-    /// (one pivot per semi-naive expansion step); `None` matches fully.
+    /// `pivot`-th positive body atom to facts with id >= `watermark` and
+    /// evaluates it first (one pivot per semi-naive expansion step);
+    /// `None` matches the full body in body order.
     pub pivot: Option<(usize, u32)>,
     /// Zero-based index of this slice of the outermost candidate loop.
     pub part: usize,
@@ -112,7 +113,7 @@ impl MatchChunk {
         }
     }
 
-    /// An unchunked delta expansion for one pivot.
+    /// An unchunked, indexed delta expansion for one pivot.
     pub fn delta(pivot: usize, watermark: u32) -> MatchChunk {
         MatchChunk {
             pivot: Some((pivot, watermark)),
@@ -123,30 +124,32 @@ impl MatchChunk {
     }
 }
 
-/// The static join plan of one rule: the composite probe signature of
-/// every body atom, plus the signature of the head-satisfaction check.
+/// The static join plan of one rule: a probe signature for every step of
+/// every evaluation order, for every negated atom, and for the
+/// head-satisfaction check.
 ///
-/// At join depth `d` the bound variables are exactly the variables of the
-/// positive atoms `0..d` (every candidate binds all of its atom's
-/// variables), so the set of bound argument positions of each atom is a
-/// static property of the rule. The plan records that full set per
-/// positive atom; `candidates_for` probes the matching composite index
-/// with all of them bound at once. Negated atoms are checked once per
-/// complete positive match, when the body variables and assignment
+/// Every candidate binds all of its atom's variables, so the bound
+/// argument positions of each step of an evaluation order are a static
+/// property of the rule; `candidates_for` probes the matching composite
+/// index with all of them bound at once. Negated atoms are checked once
+/// per complete positive match, when the body variables and assignment
 /// results are all bound — their signature is every position holding a
 /// constant or such a variable. The head signature covers the restricted
 /// chase's satisfaction check for existentially-quantified heads: every
 /// position holding a constant or a non-existential variable.
 ///
-/// The plan determines which indexes exist, never which facts match or
-/// in which order: probes and scans yield identical candidate lists
-/// (insertion order), so enumeration order is a property of the rule and
-/// the database — not of the plan, and never of thread scheduling.
+/// The plan determines which indexes exist, never which facts match:
+/// probes and scans yield identical candidate lists (insertion order), so
+/// the matches of a scope are a property of the rule and the database —
+/// not of the plan, and never of thread scheduling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// Per positive body atom, in body order: the statically-bound
-    /// argument positions (ascending; empty = no bound position, scan).
-    pub positive: Vec<Vec<usize>>,
+    /// Per positive body atom `p`: the pivot-first evaluation order —
+    /// atom `p`, then the other positive atoms in body order — as
+    /// `(body index, probe signature)` steps. Signatures are ascending;
+    /// empty means no bound position (a scan). Order 0 is the body order,
+    /// which the full scope joins in.
+    pub orders: Vec<Vec<(usize, Vec<usize>)>>,
     /// Per negated body atom, in body order: the positions bound by the
     /// rule's positive body and assignments.
     pub negated: Vec<Vec<usize>>,
@@ -161,20 +164,25 @@ pub struct JoinPlan {
 }
 
 impl JoinPlan {
-    /// The full composite plan of `rule`.
+    /// The plan of `rule`.
     pub fn for_rule(rule: &Rule) -> JoinPlan {
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut positive = Vec::new();
-        for atom in rule.positive_body() {
-            positive.push(bound_positions(atom, &bound));
-            for v in atom.variables() {
-                bound.insert(v);
-            }
-        }
+        let atoms: Vec<&Atom> = rule.positive_body().collect();
+        let orders = (0..atoms.len())
+            .map(|pivot| {
+                let mut bound: HashSet<Symbol> = HashSet::new();
+                std::iter::once(pivot)
+                    .chain((0..atoms.len()).filter(|&i| i != pivot))
+                    .map(|i| {
+                        let sig = bound_positions(atoms[i], &bound);
+                        bound.extend(atoms[i].variables());
+                        (i, sig)
+                    })
+                    .collect()
+            })
+            .collect();
         // Negation runs after the assignments of a complete match.
-        for a in &rule.assignments {
-            bound.insert(a.var);
-        }
+        let mut bound: HashSet<Symbol> = atoms.iter().flat_map(|a| a.variables()).collect();
+        bound.extend(rule.assignments.iter().map(|a| a.var));
         let negated = rule
             .negated_body()
             .map(|atom| bound_positions(atom, &bound))
@@ -197,48 +205,27 @@ impl JoinPlan {
             _ => None,
         };
         JoinPlan {
-            positive,
+            orders,
             negated,
             head,
             existentials,
         }
     }
 
-    /// The pre-composite plan: each positive atom probes only its *first*
-    /// bound position; negated atoms and the satisfaction check scan.
-    /// Kept as the measured baseline of the `join_plan` bench and as a
-    /// regression oracle — it reproduces the engine's behaviour before
-    /// join planning existed.
-    pub fn legacy(rule: &Rule) -> JoinPlan {
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut positive = Vec::new();
-        for atom in rule.positive_body() {
-            let first = static_probe_position(atom, &bound);
-            positive.push(first.into_iter().collect());
-            for v in atom.variables() {
-                bound.insert(v);
-            }
-        }
-        JoinPlan {
-            positive,
-            negated: rule.negated_body().map(|_| Vec::new()).collect(),
-            head: None,
-            existentials: rule.existential_variables(),
-        }
-    }
-
-    /// Every composite index this plan probes, as
-    /// `(predicate, positions)` signatures in plan order, deduplicated.
-    /// The engine builds exactly these before its parallel phase.
+    /// Every composite index this plan probes, as `(predicate, positions)`
+    /// signatures, deduplicated: the body-order steps, then the other
+    /// pivot orders, then the negated atoms and the head. The engine
+    /// builds exactly these before any matching starts.
     pub fn required_composite_indexes(&self, rule: &Rule) -> Vec<(Symbol, Vec<usize>)> {
+        let atoms: Vec<&Atom> = rule.positive_body().collect();
         let mut out: Vec<(Symbol, Vec<usize>)> = Vec::new();
         let mut push = |pred: Symbol, sig: &[usize]| {
             if !sig.is_empty() && !out.iter().any(|(p, s)| *p == pred && s == sig) {
                 out.push((pred, sig.to_vec()));
             }
         };
-        for (atom, sig) in rule.positive_body().zip(&self.positive) {
-            push(atom.predicate, sig);
+        for (i, sig) in self.orders.iter().flatten() {
+            push(atoms[*i].predicate, sig);
         }
         for (atom, sig) in rule.negated_body().zip(&self.negated) {
             push(atom.predicate, sig);
@@ -254,7 +241,7 @@ impl JoinPlan {
 /// `bound`, ascending. Variables repeated within `atom` only count as
 /// bound if an *earlier* atom (or assignment) bound them, mirroring the
 /// runtime bindings at candidate-lookup time.
-fn bound_positions(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Vec<usize> {
+fn bound_positions(atom: &Atom, bound: &HashSet<Symbol>) -> Vec<usize> {
     atom.terms
         .iter()
         .enumerate()
@@ -266,272 +253,51 @@ fn bound_positions(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Ve
         .collect()
 }
 
-/// The statically-determined single-position index probes of a rule body:
-/// for each positive atom, the first position holding a constant or an
-/// already-bound variable. Superseded by [`JoinPlan`] (which the engine
-/// now plans with) but kept as the stable, documented summary of the
-/// legacy probe selection.
-pub fn required_indexes(rule: &Rule) -> Vec<(Symbol, usize)> {
-    let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for atom in rule.positive_body() {
-        if let Some(pos) = static_probe_position(atom, &bound) {
-            let pair = (atom.predicate, pos);
-            if !out.contains(&pair) {
-                out.push(pair);
-            }
-        }
-        for v in atom.variables() {
-            bound.insert(v);
-        }
-    }
-    out
-}
-
-/// The position of `atom` the join will probe, given the variables bound
-/// by earlier atoms. Mirrors the probe selection inside [`join`].
-fn static_probe_position(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Option<usize> {
-    atom.terms.iter().position(|t| match t {
-        Term::Const(_) => true,
-        Term::Var(v) => bound.contains(v),
-    })
-}
-
-/// Enumerates all matches of `rule`'s body in `db`.
+/// Enumerates the matches of `rule`'s body in `db` within `scope`.
 ///
-/// Evaluation per match, in order: positive atoms (backtracking join, using
-/// positional indexes on already-bound arguments), assignments, negated
-/// atoms, then every condition *not* involving the aggregate result.
-/// Conditions over the aggregate result are the caller's responsibility
-/// (they can only be checked after grouping).
+/// Evaluation per match, in order: positive atoms (backtracking join in
+/// the scope's planned order, probing composite indexes on bound
+/// arguments), assignments, negated atoms, then every condition *not*
+/// involving the aggregate result. Conditions over the aggregate result
+/// are the caller's responsibility (they can only be checked after
+/// grouping).
 ///
-/// Takes `&mut Database` to build the rule's positional indexes up front;
-/// no facts are added or removed. Read-only callers with pre-built indexes
-/// (see [`required_indexes`]) can use [`match_chunk`] directly.
-pub fn match_body(db: &mut Database, rule: &Rule) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_with(db, rule, true)
-}
-
-/// [`match_body`] with index usage made explicit: with `use_index` false
-/// every atom lookup scans the predicate's facts (the engine-ablation
-/// baseline of the bench crate).
-pub fn match_body_with(
-    db: &mut Database,
-    rule: &Rule,
-    use_index: bool,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_with_metered(db, rule, use_index, &mut MatchMetrics::default())
-}
-
-/// [`match_body_with`] with index/scan counters accumulated into
-/// `metrics`.
-pub fn match_body_with_metered(
-    db: &mut Database,
-    rule: &Rule,
-    use_index: bool,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_body_planned(db, rule, &plan, use_index, metrics)
-}
-
-/// [`match_body_with_metered`] against a precomputed [`JoinPlan`]: builds
-/// the plan's composite indexes (when `use_index`) and runs the full
-/// unchunked match.
-pub fn match_body_planned(
-    db: &mut Database,
-    rule: &Rule,
-    plan: &JoinPlan,
-    use_index: bool,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    if use_index {
-        for (pred, sig) in plan.required_composite_indexes(rule) {
-            db.ensure_composite_index(pred, &sig);
-        }
-    }
-    match_chunk_planned(db, rule, plan, &MatchChunk::full(use_index), metrics)
-}
-
-/// Semi-naive incremental matching: enumerates only the matches that
-/// involve at least one fact with id >= `watermark` (a fact added since
-/// the rule's previous evaluation).
-///
-/// Implemented as the classic delta expansion: one join per pivot
-/// position, restricting that position to new facts, deduplicated on the
-/// premise vector (a match touching several new facts is produced by
-/// several pivots).
-pub fn match_body_incremental(
-    db: &mut Database,
-    rule: &Rule,
-    watermark: u32,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_incremental_metered(db, rule, watermark, &mut MatchMetrics::default())
-}
-
-/// [`match_body_incremental`] with index/scan counters accumulated into
-/// `metrics`.
-pub fn match_body_incremental_metered(
-    db: &mut Database,
-    rule: &Rule,
-    watermark: u32,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_body_incremental_planned(db, rule, &plan, watermark, metrics)
-}
-
-/// [`match_body_incremental_metered`] against a precomputed [`JoinPlan`]
-/// (the engine's commit-phase top-up path, which reuses the per-rule
-/// plans computed once per program).
-///
-/// Each pivot's expansion evaluates the body with the *pivot atom first*:
-/// the watermark restriction then lands at join depth 0, so the work of a
-/// pass is proportional to the delta's extensions rather than to the full
-/// join prefix of the atoms before the pivot. The remaining atoms keep
-/// their body order, with probe signatures recomputed for the permuted
-/// order (and their composite indexes built on demand). Premise vectors
-/// are restored to body-atom order before dedup, so the returned match
-/// set — and everything downstream, which sorts on premises — is
-/// identical to the unpermuted expansion.
-pub fn match_body_incremental_planned(
-    db: &mut Database,
-    rule: &Rule,
-    plan: &JoinPlan,
-    watermark: u32,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    for (pred, sig) in plan.required_composite_indexes(rule) {
-        db.ensure_composite_index(pred, &sig);
-    }
-    let atoms: Vec<&Atom> = rule.positive_body().collect();
-    let n_atoms = atoms.len();
-    // Per pivot: the permuted evaluation order and its probe signatures
-    // (indexed by order position). Indexes are built before any join runs
-    // so the probe/scan split below is a property of the rule alone.
-    let mut passes: Vec<(Vec<usize>, Vec<Vec<usize>>)> = Vec::with_capacity(n_atoms);
-    for pivot in 0..n_atoms {
-        let order: Vec<usize> = std::iter::once(pivot)
-            .chain((0..n_atoms).filter(|&i| i != pivot))
-            .collect();
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut probes: Vec<Vec<usize>> = Vec::with_capacity(n_atoms);
-        for &i in &order {
-            let sig = bound_positions(atoms[i], &bound);
-            if !sig.is_empty() {
-                db.ensure_composite_index(atoms[i].predicate, &sig);
-            }
-            probes.push(sig);
-            for v in atoms[i].variables() {
-                bound.insert(v);
-            }
-        }
-        passes.push((order, probes));
-    }
-    let mut out = Vec::new();
-    let mut seen_premises: std::collections::HashSet<Vec<FactId>> =
-        std::collections::HashSet::new();
-    for (order, probes) in &passes {
-        let plans: Vec<AtomPlan> = order
-            .iter()
-            .zip(probes)
-            .enumerate()
-            .map(|(k, (&i, sig))| AtomPlan {
-                atom: atoms[i],
-                probe: sig.as_slice(),
-                min_fact: if k == 0 { watermark } else { 0 },
-            })
-            .collect();
-        let mut bindings = Bindings::new();
-        let mut premises = Vec::with_capacity(n_atoms);
-        let mut found = Vec::new();
-        join(
-            db,
-            rule,
-            &plans,
-            0,
-            true,
-            None,
-            &mut bindings,
-            &mut premises,
-            &mut found,
-            metrics,
-        )?;
-        for mut m in found {
-            // `join` records premises in evaluation order; restore body
-            // order so dedup and provenance see the canonical vector.
-            let mut body_order = vec![FactId(0); n_atoms];
-            for (k, &i) in order.iter().enumerate() {
-                body_order[i] = m.premises[k];
-            }
-            m.premises = body_order;
-            if seen_premises.insert(m.premises.clone()) {
-                out.push(m);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Runs one [`MatchChunk`] against an immutable database snapshot.
-///
-/// Requires only `&Database`: index probes that miss (index never built)
-/// fall back to a predicate scan, so results never depend on which indexes
-/// exist — only speed does.
-pub fn match_chunk(
-    db: &Database,
-    rule: &Rule,
-    chunk: &MatchChunk,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_chunk_metered(db, rule, chunk, &mut MatchMetrics::default())
-}
-
-/// [`match_chunk`] with index/scan counters accumulated into `metrics`.
-/// For chunked work (`parts > 1`) only chunk 0 counts the outermost
-/// lookup, keeping the totals identical at any chunk count.
-pub fn match_chunk_metered(
-    db: &Database,
-    rule: &Rule,
-    chunk: &MatchChunk,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_chunk_planned(db, rule, &plan, chunk, metrics)
-}
-
-/// [`match_chunk_metered`] against a precomputed [`JoinPlan`] — the
-/// parallel chase phase's entry point, which computes one plan per rule
-/// up front and shares it across all chunks.
-pub fn match_chunk_planned(
+/// A pivot scope `(p, w)` yields exactly the full match's matches whose
+/// premise `p` has id >= `w`, each once; its premise vectors are in body
+/// order. A match touching several facts at or above the watermark is
+/// yielded by several pivots: deduplicating across pivots is the caller's
+/// job. Never builds an index; a missing one costs a scan, not a result.
+pub fn match_rule(
     db: &Database,
     rule: &Rule,
     plan: &JoinPlan,
-    chunk: &MatchChunk,
+    scope: &MatchChunk,
     metrics: &mut MatchMetrics,
 ) -> Result<Vec<BodyMatch>, EvalError> {
-    static EMPTY: &[usize] = &[];
-    let atoms: Vec<AtomPlan> = rule
-        .positive_body()
+    let body: Vec<&Atom> = rule.positive_body().collect();
+    let (pivot, watermark) = scope.pivot.unwrap_or((0, 0));
+    let steps: Vec<AtomPlan<'_>> = plan
+        .orders
+        .get(pivot)
+        .map_or(&[][..], Vec::as_slice)
+        .iter()
         .enumerate()
-        .map(|(i, atom)| AtomPlan {
-            atom,
-            probe: plan.positive.get(i).map_or(EMPTY, Vec::as_slice),
-            min_fact: match chunk.pivot {
-                Some((pivot, watermark)) if pivot == i => watermark,
-                _ => 0,
-            },
+        .map(|(depth, (slot, probe))| AtomPlan {
+            atom: body[*slot],
+            slot: *slot,
+            probe,
+            min_fact: if depth == 0 { watermark } else { 0 },
         })
         .collect();
     let mut out = Vec::new();
     let mut bindings = Bindings::new();
-    let mut premises = Vec::with_capacity(atoms.len());
+    let mut premises = vec![FactId(0); body.len()];
     join(
         db,
         rule,
-        &atoms,
+        &steps,
         0,
-        chunk.use_index,
-        Some((chunk.part, chunk.parts)),
+        scope,
         &mut bindings,
         &mut premises,
         &mut out,
@@ -540,9 +306,13 @@ pub fn match_chunk_planned(
     Ok(out)
 }
 
-/// One body atom with its planned probe and candidate restriction.
+/// One step of an evaluation order: a body atom with its planned probe
+/// and candidate restriction.
 struct AtomPlan<'a> {
     atom: &'a Atom,
+    /// The atom's position among the positive body atoms, where its
+    /// premise is recorded.
+    slot: usize,
     /// The statically-bound positions this atom's lookup probes
     /// (ascending; empty = unconstrained scan).
     probe: &'a [usize],
@@ -637,15 +407,14 @@ fn join(
     rule: &Rule,
     atoms: &[AtomPlan<'_>],
     depth: usize,
-    use_index: bool,
-    depth0_slice: Option<(usize, usize)>,
+    scope: &MatchChunk,
     bindings: &mut Bindings,
-    premises: &mut Vec<FactId>,
+    premises: &mut [FactId],
     out: &mut Vec<BodyMatch>,
     metrics: &mut MatchMetrics,
 ) -> Result<(), EvalError> {
     if depth == atoms.len() {
-        if let Some(m) = finish_match(db, rule, use_index, bindings, premises, metrics)? {
+        if let Some(m) = finish_match(db, rule, scope.use_index, bindings, premises, metrics)? {
             out.push(m);
         }
         return Ok(());
@@ -655,14 +424,12 @@ fn join(
 
     // The outermost lookup runs once per chunk: only chunk 0 counts it,
     // so metric totals do not depend on how the work was split.
-    let count = depth > 0 || depth0_slice.is_none_or(|(part, _)| part == 0);
-    let mut candidates = candidates_for(db, plan, use_index, bindings, metrics, count);
+    let count = depth > 0 || scope.part == 0;
+    let mut candidates = candidates_for(db, plan, scope.use_index, bindings, metrics, count);
     if depth == 0 {
-        if let Some((part, parts)) = depth0_slice {
-            let (lo, hi) = chunk_bounds(candidates.len(), part, parts);
-            candidates.truncate(hi);
-            candidates.drain(..lo);
-        }
+        let (lo, hi) = chunk_bounds(candidates.len(), scope.part, scope.parts);
+        candidates.truncate(hi);
+        candidates.drain(..lo);
     }
 
     for id in candidates {
@@ -699,20 +466,18 @@ fn join(
             }
         };
         if ok {
-            premises.push(id);
+            premises[plan.slot] = id;
             join(
                 db,
                 rule,
                 atoms,
                 depth + 1,
-                use_index,
-                None,
+                scope,
                 bindings,
                 premises,
                 out,
                 metrics,
             )?;
-            premises.pop();
         }
         for name in added {
             bindings.remove(&name);
@@ -802,6 +567,44 @@ mod tests {
         db
     }
 
+    /// The full match of `rule`, after building its planned indexes when
+    /// `use_index` (as the engine does before matching).
+    fn full_match(
+        db: &mut Database,
+        rule: &Rule,
+        use_index: bool,
+        metrics: &mut MatchMetrics,
+    ) -> Vec<BodyMatch> {
+        let plan = JoinPlan::for_rule(rule);
+        if use_index {
+            for (pred, sig) in plan.required_composite_indexes(rule) {
+                db.ensure_composite_index(pred, &sig);
+            }
+        }
+        match_rule(db, rule, &plan, &MatchChunk::full(use_index), metrics).unwrap()
+    }
+
+    fn matches(db: &mut Database, rule: &Rule) -> Vec<BodyMatch> {
+        full_match(db, rule, true, &mut MatchMetrics::default())
+    }
+
+    fn two_hop_rule() -> Rule {
+        RuleBuilder::new("r")
+            .body(Atom::new(
+                "own",
+                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
+            ))
+            .body(Atom::new(
+                "own",
+                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
+            ))
+            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
+    }
+
+    fn premises(ms: &[BodyMatch]) -> Vec<Vec<FactId>> {
+        ms.iter().map(|m| m.premises.clone()).collect()
+    }
+
     #[test]
     fn single_atom_matching_binds_all_rows() {
         let mut db = own_db();
@@ -811,8 +614,7 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("s")],
             ))
             .head(Atom::new("p", vec![Term::var("x")]));
-        let ms = match_body(&mut db, &rule).unwrap();
-        assert_eq!(ms.len(), 3);
+        assert_eq!(matches(&mut db, &rule).len(), 3);
     }
 
     #[test]
@@ -829,7 +631,7 @@ mod tests {
                 Expr::constant(0.5f64),
             ))
             .head(Atom::new("control", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = matches(&mut db, &rule);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("y")], Value::str("B"));
     }
@@ -838,17 +640,7 @@ mod tests {
     fn join_respects_shared_variables() {
         let mut db = own_db();
         // own(x,z,_), own(z,y,_) : A->B->C is the only 2-hop chain.
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = matches(&mut db, &two_hop_rule());
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("x")], Value::str("A"));
         assert_eq!(ms[0].bindings[&Symbol::new("y")], Value::str("C"));
@@ -863,8 +655,7 @@ mod tests {
         let rule = RuleBuilder::new("r")
             .body(Atom::new("edge", vec![Term::var("x"), Term::var("x")]))
             .head(Atom::new("loop", vec![Term::var("x")]));
-        let ms = match_body(&mut db, &rule).unwrap();
-        assert_eq!(ms.len(), 1);
+        assert_eq!(matches(&mut db, &rule).len(), 1);
     }
 
     #[test]
@@ -876,8 +667,7 @@ mod tests {
                 vec![Term::constant("A"), Term::var("y"), Term::var("s")],
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
-        assert_eq!(ms.len(), 2);
+        assert_eq!(matches(&mut db, &rule).len(), 2);
     }
 
     #[test]
@@ -891,7 +681,7 @@ mod tests {
             ))
             .body_not(Atom::new("blocked", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = matches(&mut db, &rule);
         // A's two rows are blocked; only B->C remains.
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("x")], Value::str("B"));
@@ -914,8 +704,7 @@ mod tests {
                 ),
             )
             .head(Atom::new("p", vec![Term::var("x"), Term::var("pct")]));
-        let ms = match_body(&mut db, &rule).unwrap();
-        let pcts: Vec<f64> = ms
+        let pcts: Vec<f64> = matches(&mut db, &rule)
             .iter()
             .map(|m| m.bindings[&Symbol::new("pct")].as_f64().unwrap())
             .collect();
@@ -939,36 +728,23 @@ mod tests {
                 Expr::constant(10.0f64),
             ))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("ts")]));
-        let ms = match_body(&mut db, &rule).unwrap();
-        assert_eq!(ms.len(), 3);
+        assert_eq!(matches(&mut db, &rule).len(), 3);
     }
 
     #[test]
     fn scan_mode_agrees_with_indexed_mode() {
         let mut db = own_db();
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let indexed = match_body_with(&mut db, &rule, true).unwrap();
-        let scanned = match_body_with(&mut db, &rule, false).unwrap();
-        assert_eq!(indexed.len(), scanned.len());
-        for (a, b) in indexed.iter().zip(&scanned) {
-            assert_eq!(a.premises, b.premises);
-        }
+        let rule = two_hop_rule();
+        let indexed = matches(&mut db, &rule);
+        let scanned = full_match(&mut db, &rule, false, &mut MatchMetrics::default());
+        assert_eq!(premises(&indexed), premises(&scanned));
     }
 
     #[test]
     fn missing_index_falls_back_to_scan() {
-        // Read-only chunk matching on a cold database (no indexes built)
-        // must agree with the index-building path.
+        // Matching on a cold database (no indexes built) must agree with
+        // the indexed path.
         let db = own_db();
         let rule = RuleBuilder::new("r")
             .body(Atom::new(
@@ -977,13 +753,12 @@ mod tests {
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
         assert!(!db.has_index(Symbol::new("own"), 0));
-        let cold = match_chunk(&db, &rule, &MatchChunk::full(true)).unwrap();
-        let mut warm_db = own_db();
-        let warm = match_body(&mut warm_db, &rule).unwrap();
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.premises, b.premises);
-        }
+        let plan = JoinPlan::for_rule(&rule);
+        let mut metrics = MatchMetrics::default();
+        let cold = match_rule(&db, &rule, &plan, &MatchChunk::full(true), &mut metrics).unwrap();
+        assert_eq!(metrics.index_probes, 0);
+        let warm = matches(&mut own_db(), &rule);
+        assert_eq!(premises(&cold), premises(&warm));
     }
 
     #[test]
@@ -991,17 +766,9 @@ mod tests {
         let mut db = own_db();
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
         db.add("own", &["B".into(), "D".into(), 0.2.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let full = match_body(&mut db, &rule).unwrap();
+        let rule = two_hop_rule();
+        let plan = JoinPlan::for_rule(&rule);
+        let full = matches(&mut db, &rule);
         for parts in 1..=7 {
             let mut concat = Vec::new();
             for part in 0..parts {
@@ -1011,12 +778,10 @@ mod tests {
                     parts,
                     use_index: true,
                 };
-                concat.extend(match_chunk(&db, &rule, &chunk).unwrap());
+                let mut m = MatchMetrics::default();
+                concat.extend(match_rule(&db, &rule, &plan, &chunk, &mut m).unwrap());
             }
-            assert_eq!(concat.len(), full.len(), "parts {parts}");
-            for (a, b) in concat.iter().zip(&full) {
-                assert_eq!(a.premises, b.premises, "parts {parts}");
-            }
+            assert_eq!(premises(&concat), premises(&full), "parts {parts}");
         }
     }
 
@@ -1025,19 +790,11 @@ mod tests {
         let mut db = own_db();
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
         db.add("own", &["B".into(), "D".into(), 0.2.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        // Build the statically-required indexes once.
+        let rule = two_hop_rule();
+        let plan = JoinPlan::for_rule(&rule);
+        // Builds the planned indexes once.
         let mut reference = MatchMetrics::default();
-        match_body_with_metered(&mut db, &rule, true, &mut reference).unwrap();
+        full_match(&mut db, &rule, true, &mut reference);
         assert!(reference.index_probes > 0);
         assert!(reference.scans > 0); // the outermost atom has no bound position
         for parts in 2..=5 {
@@ -1049,7 +806,7 @@ mod tests {
                     parts,
                     use_index: true,
                 };
-                match_chunk_metered(&db, &rule, &chunk, &mut m).unwrap();
+                match_rule(&db, &rule, &plan, &chunk, &mut m).unwrap();
             }
             assert_eq!(m, reference, "parts {parts}");
         }
@@ -1065,42 +822,17 @@ mod tests {
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
         let mut m = MatchMetrics::default();
-        match_body_with_metered(&mut db, &rule, false, &mut m).unwrap();
+        full_match(&mut db, &rule, false, &mut m);
         assert_eq!(m.index_probes, 0);
         assert!(m.scans > 0);
     }
 
     #[test]
-    fn required_indexes_follow_static_binding_order() {
-        // own(x, z, s1) binds x,z,s1; the second atom's first position is
-        // then bound, so only ("own", 0) is required (the first atom has
-        // no bound position at depth 0).
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        assert_eq!(required_indexes(&rule), vec![(Symbol::new("own"), 0)]);
-        // A leading constant is probed at depth 0.
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::constant("A"), Term::var("y"), Term::var("s")],
-            ))
-            .head(Atom::new("p", vec![Term::var("y")]));
-        assert_eq!(required_indexes(&rule), vec![(Symbol::new("own"), 0)]);
-    }
-
-    #[test]
     fn join_plan_signatures_cover_positive_negated_and_head_atoms() {
         // own(x,z,s1), own(z,y,s2), not blocked(z,y) -> p(x,y,w) with w
-        // existential: atom 0 has no bound position, atom 1 probes [0],
-        // the negated atom is fully bound, the head probes its
+        // existential. In body order atom 0 has no bound position and atom
+        // 1 probes [0]; pivot-first on atom 1, atom 1 scans and atom 0
+        // probes [1]. The negated atom is fully bound, the head probes its
         // non-existential positions.
         let rule = RuleBuilder::new("r")
             .body(Atom::new(
@@ -1117,7 +849,13 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("w")],
             ));
         let plan = JoinPlan::for_rule(&rule);
-        assert_eq!(plan.positive, vec![vec![], vec![0]]);
+        assert_eq!(
+            plan.orders,
+            vec![
+                vec![(0, vec![]), (1, vec![0])],
+                vec![(1, vec![]), (0, vec![1])],
+            ]
+        );
         assert_eq!(plan.negated, vec![vec![0, 1]]);
         assert_eq!(plan.head, Some(vec![0, 1]));
         let sigs = plan.required_composite_indexes(&rule);
@@ -1125,15 +863,11 @@ mod tests {
             sigs,
             vec![
                 (Symbol::new("own"), vec![0]),
+                (Symbol::new("own"), vec![1]),
                 (Symbol::new("blocked"), vec![0, 1]),
                 (Symbol::new("p"), vec![0, 1]),
             ]
         );
-        // The legacy plan knows only first-bound-position probes.
-        let legacy = JoinPlan::legacy(&rule);
-        assert_eq!(legacy.positive, vec![vec![], vec![0]]);
-        assert_eq!(legacy.negated, vec![vec![]]);
-        assert_eq!(legacy.head, None);
     }
 
     #[test]
@@ -1184,17 +918,17 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("z")],
             ));
         let plan = JoinPlan::for_rule(&rule);
-        assert_eq!(plan.positive, vec![vec![], vec![0], vec![0, 1]]);
+        assert_eq!(
+            plan.orders[0],
+            vec![(0, vec![]), (1, vec![0]), (2, vec![0, 1])]
+        );
         let mut metrics = MatchMetrics::default();
-        let indexed = match_body_planned(&mut db, &rule, &plan, true, &mut metrics).unwrap();
+        let indexed = full_match(&mut db, &rule, true, &mut metrics);
         assert!(metrics.composite_probes > 0);
         assert!(db.has_composite_index(Symbol::new("edge"), &[0, 1]));
-        let scanned = match_body_with(&mut db, &rule, false).unwrap();
-        assert_eq!(indexed.len(), scanned.len());
+        let scanned = full_match(&mut db, &rule, false, &mut MatchMetrics::default());
         assert!(!indexed.is_empty());
-        for (a, b) in indexed.iter().zip(&scanned) {
-            assert_eq!(a.premises, b.premises);
-        }
+        assert_eq!(premises(&indexed), premises(&scanned));
     }
 
     #[test]
@@ -1210,47 +944,17 @@ mod tests {
             .body_not(Atom::new("blocked", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
         let mut metrics = MatchMetrics::default();
-        let ms = match_body_with_metered(&mut db, &rule, true, &mut metrics).unwrap();
+        let ms = full_match(&mut db, &rule, true, &mut metrics);
         assert_eq!(ms.len(), 1);
         // One negation check per complete positive match, all indexed.
         assert_eq!(metrics.negation_probes, 3);
         assert_eq!(metrics.negation_scans, 0);
         // Ablation mode stays an honest scan even though the index exists.
         let mut metrics = MatchMetrics::default();
-        let scanned = match_body_with_metered(&mut db, &rule, false, &mut metrics).unwrap();
+        let scanned = full_match(&mut db, &rule, false, &mut metrics);
         assert_eq!(metrics.negation_probes, 0);
         assert_eq!(metrics.negation_scans, 3);
         assert_eq!(ms.len(), scanned.len());
-    }
-
-    #[test]
-    fn legacy_plan_produces_identical_matches() {
-        let mut db = own_db();
-        db.add("own", &["C".into(), "D".into(), 0.7.into()]);
-        db.add("blocked", &["A".into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .body_not(Atom::new("blocked", vec![Term::var("y")]))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let full = JoinPlan::for_rule(&rule);
-        let legacy = JoinPlan::legacy(&rule);
-        let planned =
-            match_body_planned(&mut db, &rule, &full, true, &mut MatchMetrics::default()).unwrap();
-        let legacy_ms =
-            match_body_planned(&mut db, &rule, &legacy, true, &mut MatchMetrics::default())
-                .unwrap();
-        assert_eq!(planned.len(), legacy_ms.len());
-        for (a, b) in planned.iter().zip(&legacy_ms) {
-            assert_eq!(a.premises, b.premises);
-            assert_eq!(a.bindings, b.bindings);
-        }
     }
 
     #[test]
@@ -1259,76 +963,55 @@ mod tests {
         let rule = RuleBuilder::new("r")
             .body(Atom::new("nothing", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x")]));
-        assert!(match_body(&mut db, &rule).unwrap().is_empty());
+        assert!(matches(&mut db, &rule).is_empty());
     }
-}
 
-#[cfg(test)]
-mod incremental_tests {
-    use super::*;
-    use crate::rule::RuleBuilder;
-
-    fn two_hop_rule() -> Rule {
-        RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
+    /// The matches of one unchunked pivot scope, indexes pre-built.
+    fn pivot_match(db: &mut Database, rule: &Rule, pivot: usize, watermark: u32) -> Vec<BodyMatch> {
+        full_match(db, rule, true, &mut MatchMetrics::default());
+        let plan = JoinPlan::for_rule(rule);
+        let scope = MatchChunk::delta(pivot, watermark);
+        match_rule(db, rule, &plan, &scope, &mut MatchMetrics::default()).unwrap()
     }
 
     #[test]
-    fn watermark_zero_equals_full_matching() {
+    fn watermark_zero_pivots_each_equal_full_matching() {
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.6.into()]);
         db.add("own", &["B".into(), "C".into(), 0.7.into()]);
         db.add("own", &["C".into(), "D".into(), 0.8.into()]);
         let rule = two_hop_rule();
-        let full = match_body(&mut db, &rule).unwrap();
-        let incr = match_body_incremental(&mut db, &rule, 0).unwrap();
-        assert_eq!(full.len(), incr.len());
+        let full = premises(&matches(&mut db, &rule));
+        for pivot in 0..2 {
+            let mut delta = premises(&pivot_match(&mut db, &rule, pivot, 0));
+            delta.sort();
+            assert_eq!(delta, full, "pivot {pivot}");
+        }
     }
 
     #[test]
-    fn incremental_returns_only_matches_touching_new_facts() {
+    fn pivot_scope_returns_only_matches_over_new_pivot_facts_in_body_order() {
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.6.into()]);
         db.add("own", &["B".into(), "C".into(), 0.7.into()]);
         let watermark = db.len() as u32; // everything so far is old
         db.add("own", &["C".into(), "D".into(), 0.8.into()]);
         let rule = two_hop_rule();
-        let ms = match_body_incremental(&mut db, &rule, watermark).unwrap();
-        // Only B->C->D involves the new fact; A->B->C is old-old.
-        assert_eq!(ms.len(), 1);
-        assert_eq!(
-            ms[0].bindings[&crate::symbol::Symbol::new("y")],
-            Value::str("D")
-        );
-    }
-
-    #[test]
-    fn matches_with_two_new_facts_are_deduplicated() {
-        let mut db = Database::new();
-        let watermark = db.len() as u32;
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
-        let rule = two_hop_rule();
-        // Both pivots produce the A->B->C match; it must appear once.
-        let ms = match_body_incremental(&mut db, &rule, watermark).unwrap();
-        assert_eq!(ms.len(), 1);
+        // The new fact cannot start a chain (nothing leaves D)...
+        assert!(pivot_match(&mut db, &rule, 0, watermark).is_empty());
+        // ...but closes B->C->D as the second atom, evaluated first yet
+        // recorded in body order.
+        let ms = pivot_match(&mut db, &rule, 1, watermark);
+        assert_eq!(premises(&ms), vec![vec![FactId(1), FactId(2)]]);
+        assert_eq!(ms[0].bindings[&Symbol::new("y")], Value::str("D"));
     }
 
     #[test]
     fn future_watermark_yields_nothing() {
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
+        let mut db = own_db();
         let rule = two_hop_rule();
-        let ms = match_body_incremental(&mut db, &rule, 999).unwrap();
-        assert!(ms.is_empty());
+        for pivot in 0..2 {
+            assert!(pivot_match(&mut db, &rule, pivot, 999).is_empty());
+        }
     }
 }

@@ -42,12 +42,7 @@ mod delta;
 mod matcher;
 
 pub use delta::{Delta, DeltaOutcome, DeltaStrategy};
-pub use matcher::{
-    match_body, match_body_incremental, match_body_incremental_metered,
-    match_body_incremental_planned, match_body_planned, match_body_with, match_body_with_metered,
-    match_chunk, match_chunk_metered, match_chunk_planned, required_indexes, BodyMatch, JoinPlan,
-    MatchChunk, MatchMetrics,
-};
+pub use matcher::{match_rule, BodyMatch, JoinPlan, MatchChunk, MatchMetrics};
 
 use crate::atom::Fact;
 use crate::checkpoint::{self, AutosavePolicy, CheckpointError, SnapshotParts};
@@ -82,10 +77,6 @@ use std::time::Instant;
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct ChaseConfig {
-    /// Maximum number of full evaluation rounds before giving up.
-    pub max_rounds: usize,
-    /// Maximum number of facts (EDB + derived) before giving up.
-    pub max_facts: usize,
     /// If true, a violated negative constraint aborts the run with an
     /// error; otherwise violations are collected in the outcome.
     pub fail_on_violation: bool,
@@ -99,15 +90,6 @@ pub struct ChaseConfig {
     /// flips the process default to the scan-ablation path — the knob CI
     /// uses to run the whole test suite over the scan code path.
     pub use_positional_index: bool,
-    /// Plan joins statically per rule (default): probe composite indexes
-    /// binding *all* statically-bound positions of each atom, and serve
-    /// negated-atom and head-satisfaction checks from indexes built for
-    /// their planned signatures. Disabling reverts to the legacy
-    /// single-position probe (first bound position per atom, negation and
-    /// satisfaction by linear scan) — kept as the measured baseline of
-    /// the `join_plan` bench. Only meaningful while
-    /// `use_positional_index` is on.
-    pub join_planning: bool,
     /// Evaluate rules semi-naively: after a rule's first evaluation, only
     /// matches involving at least one new fact are enumerated (default).
     /// Aggregate rules keep their groups' contributors across rounds and
@@ -121,10 +103,10 @@ pub struct ChaseConfig {
     /// thread count.
     pub threads: usize,
     /// Resource governance for the run: wall-clock deadline, cooperative
-    /// cancellation and round/fact/memory budgets. Composes with the
-    /// legacy `max_rounds`/`max_facts` knobs (the tighter bound wins);
-    /// trips surface as [`ChaseError::ResourceExhausted`] carrying the
-    /// deterministic partial outcome.
+    /// cancellation and round/fact/memory budgets — the run's only limits.
+    /// An unset round or fact budget defaults to 10,000 rounds or
+    /// 5,000,000 facts. Trips surface as [`ChaseError::ResourceExhausted`]
+    /// carrying the deterministic partial outcome.
     pub guard: RunGuard,
     /// Collect full telemetry: wall-clock phase timings and the per-round
     /// log of the [`RunReport`]. The cheap integer counters are always
@@ -188,11 +170,8 @@ fn prune_ablation_default() -> bool {
 impl Default for ChaseConfig {
     fn default() -> ChaseConfig {
         ChaseConfig {
-            max_rounds: 10_000,
-            max_facts: 5_000_000,
             fail_on_violation: false,
             use_positional_index: !scan_ablation_default(),
-            join_planning: true,
             semi_naive: true,
             threads: 0,
             guard: RunGuard::default(),
@@ -211,18 +190,6 @@ impl ChaseConfig {
         self
     }
 
-    /// Sets the round limit.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> ChaseConfig {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the fact limit.
-    pub fn with_max_facts(mut self, max_facts: usize) -> ChaseConfig {
-        self.max_facts = max_facts;
-        self
-    }
-
     /// Sets whether a violated constraint aborts the run.
     pub fn with_fail_on_violation(mut self, fail: bool) -> ChaseConfig {
         self.fail_on_violation = fail;
@@ -232,14 +199,6 @@ impl ChaseConfig {
     /// Enables or disables positional-index matching.
     pub fn with_positional_index(mut self, use_index: bool) -> ChaseConfig {
         self.use_positional_index = use_index;
-        self
-    }
-
-    /// Enables or disables static join planning (composite-index probes
-    /// and indexed negation/satisfaction checks). Disabling reverts to
-    /// the legacy single-position probe selection.
-    pub fn with_join_planning(mut self, join_planning: bool) -> ChaseConfig {
-        self.join_planning = join_planning;
         self
     }
 
@@ -641,7 +600,7 @@ impl<'p> ChaseSession<'p> {
             None => (vec![watermark; program.len()], None),
         };
         let metrics = EngineMetrics::new(program, &self.config);
-        let plans = join_plans(program, &self.config);
+        let plans = join_plans(program);
         let postings_at_start = database.postings_built();
         let (cone, pruned_edb_facts) = resolve_cone(program, &self.config, &database);
         let engine = Chase {
@@ -862,8 +821,7 @@ struct Chase<'p> {
     resume_from: Option<EngineResume>,
     /// Pre-resolved handles into the run's metrics registry.
     metrics: EngineMetrics,
-    /// Static join plans, one per program rule, computed once up front
-    /// (composite when `config.join_planning`, legacy otherwise).
+    /// Static join plans, one per program rule, computed once up front.
     plans: Vec<JoinPlan>,
     /// `db.postings_built()` at construction, so the run reports only the
     /// posting-list entries it built itself.
@@ -878,19 +836,30 @@ struct Chase<'p> {
     pruned_edb_facts: u64,
 }
 
-/// The per-rule join plans of `program` under `config`.
-fn join_plans(program: &Program, config: &ChaseConfig) -> Vec<JoinPlan> {
-    program
-        .rules()
-        .iter()
-        .map(|rule| {
-            if config.join_planning {
-                JoinPlan::for_rule(rule)
-            } else {
-                JoinPlan::legacy(rule)
-            }
-        })
-        .collect()
+/// The per-rule join plans of `program`.
+fn join_plans(program: &Program) -> Vec<JoinPlan> {
+    program.rules().iter().map(JoinPlan::for_rule).collect()
+}
+
+/// The semi-naive delta of `rule` since `watermark`: one pivot-first
+/// [`match_rule`] pass per positive body atom, deduplicated on the
+/// premise vector (a match touching several new facts is found by
+/// several pivots) and ordered by it.
+fn delta_matches(
+    db: &Database,
+    rule: &Rule,
+    plan: &JoinPlan,
+    watermark: u32,
+    metrics: &mut MatchMetrics,
+) -> Result<Vec<BodyMatch>, EvalError> {
+    let mut out = Vec::new();
+    for pivot in 0..plan.orders.len() {
+        let scope = MatchChunk::delta(pivot, watermark);
+        out.extend(match_rule(db, rule, plan, &scope, metrics)?);
+    }
+    out.sort_by(|a, b| a.premises.cmp(&b.premises));
+    out.dedup_by(|a, b| a.premises == b.premises);
+    Ok(out)
 }
 
 /// Resolves [`ChaseConfig::goal_cone`] against the program and the EDB:
@@ -921,7 +890,7 @@ impl<'p> Chase<'p> {
         }
         let initial_facts = db.len();
         let metrics = EngineMetrics::new(program, &config);
-        let plans = join_plans(program, &config);
+        let plans = join_plans(program);
         let postings_at_start = db.postings_built();
         let (cone, pruned_edb_facts) = resolve_cone(program, &config, &db);
         Chase {
@@ -953,22 +922,16 @@ impl<'p> Chase<'p> {
 
     fn run_in_place(mut self) -> Result<ChaseOutcome, ChaseError> {
         let start = Instant::now();
-        let armed = ArmedGuard::arm(
-            &self.config.guard,
-            start,
-            self.config.max_rounds,
-            self.config.max_facts,
-        );
+        let armed = ArmedGuard::arm(&self.config.guard, start);
         let threads = self.config.effective_threads();
         let strata = self.program.stratification().strata;
         let _run_span = crate::span!("chase.run", strata = strata, threads = threads);
 
-        // Build exactly the planned composite indexes before the first
-        // parallel phase: a cold index must never be constructed while the
-        // store is shared read-only across matching workers. The plans
-        // cover positive-atom probes plus — under join planning — the
-        // negated-atom and head-satisfaction signatures, so those checks
-        // probe instead of scanning.
+        // Build exactly the planned composite indexes before any matching:
+        // a cold index must never be constructed while the store is shared
+        // read-only across matching workers. The plans cover the probes of
+        // every pivot order plus the negated-atom and head-satisfaction
+        // signatures, so those checks probe instead of scanning.
         let t = self.timer();
         if self.config.use_positional_index {
             // Under goal-directed pruning only cone rules are indexed:
@@ -1626,32 +1589,23 @@ impl<'p> Chase<'p> {
                 // commit-phase top-up instead.
                 continue;
             }
-            let parts = self.parts_for(rule, threads);
-            if self.is_incremental(idx, rule, watermark) {
-                let n_atoms = rule.positive_body().count();
-                for pivot in 0..n_atoms {
-                    for part in 0..parts {
-                        items.push(WorkItem {
-                            rule_idx: idx,
-                            rule,
-                            plan: &self.plans[idx],
-                            chunk: MatchChunk {
-                                pivot: Some((pivot, watermark as u32)),
-                                part,
-                                parts,
-                                use_index: true,
-                            },
-                        });
-                    }
-                }
+            let plan = &self.plans[idx];
+            let scopes: Vec<Option<(usize, u32)>> = if self.is_incremental(idx, rule, watermark) {
+                (0..plan.orders.len())
+                    .map(|pivot| Some((pivot, watermark as u32)))
+                    .collect()
             } else {
+                vec![None]
+            };
+            for pivot in scopes {
+                let parts = self.parts_for(rule, pivot, threads);
                 for part in 0..parts {
                     items.push(WorkItem {
                         rule_idx: idx,
                         rule,
-                        plan: &self.plans[idx],
+                        plan,
                         chunk: MatchChunk {
-                            pivot: None,
+                            pivot,
                             part,
                             parts,
                             use_index: true,
@@ -1752,7 +1706,7 @@ impl<'p> Chase<'p> {
             panic::catch_unwind(AssertUnwindSafe(|| {
                 faultpoint::trigger("chase.match_chunk");
                 let mut metrics = MatchMetrics::default();
-                match_chunk_planned(&self.db, item.rule, item.plan, &item.chunk, &mut metrics)
+                match_rule(&self.db, item.rule, item.plan, &item.chunk, &mut metrics)
                     .map(|ms| (ms, metrics))
             }))
             .map_err(|payload| {
@@ -1830,18 +1784,24 @@ impl<'p> Chase<'p> {
         )
     }
 
-    /// Number of outermost-loop slices for one rule's matching work: one
-    /// per ~[`CHUNK_TARGET`] candidates, capped at a few chunks per
-    /// worker. Any value yields the same output; this only shapes load
-    /// balance.
-    fn parts_for(&self, rule: &Rule, threads: usize) -> usize {
+    /// Number of outermost-loop slices for one matching scope of a rule:
+    /// one per ~[`CHUNK_TARGET`] candidates of the first evaluated atom —
+    /// the pivot, counting only its facts at or above the watermark —
+    /// capped at a few chunks per worker. Any value yields the same
+    /// output; this only shapes load balance.
+    fn parts_for(&self, rule: &Rule, pivot: Option<(usize, u32)>, threads: usize) -> usize {
         if threads <= 1 {
             return 1;
         }
+        let (atom, watermark) = pivot.unwrap_or((0, 0));
         let first = rule
             .positive_body()
-            .next()
-            .map(|atom| self.db.active_count(atom.predicate))
+            .nth(atom)
+            .map(|atom| {
+                let ids = self.db.facts_of(atom.predicate);
+                let fresh = ids.len() - ids.partition_point(|id| id.0 < watermark);
+                self.db.active_count(atom.predicate).min(fresh)
+            })
             .unwrap_or(0);
         (first / CHUNK_TARGET).clamp(1, threads * 4)
     }
@@ -1917,23 +1877,13 @@ impl<'p> Chase<'p> {
                 None => Vec::new(),
             };
             let phase_count = matches.len();
+            let plan = &self.plans[idx];
             if rematch {
                 matches = if incremental {
-                    match_body_incremental_planned(
-                        &mut self.db,
-                        rule,
-                        &self.plans[idx],
-                        watermark as u32,
-                        &mut metrics,
-                    )
+                    delta_matches(&self.db, rule, plan, watermark as u32, &mut metrics)
                 } else {
-                    match_body_planned(
-                        &mut self.db,
-                        rule,
-                        &self.plans[idx],
-                        self.config.use_positional_index,
-                        &mut metrics,
-                    )
+                    let scope = MatchChunk::full(self.config.use_positional_index);
+                    match_rule(&self.db, rule, plan, &scope, &mut metrics)
                 }
                 .map_err(eval_err)?;
             } else if self.config.use_positional_index {
@@ -1948,21 +1898,15 @@ impl<'p> Chase<'p> {
                 };
                 if current_len > topup_from {
                     matches.extend(
-                        match_body_incremental_planned(
-                            &mut self.db,
-                            rule,
-                            &self.plans[idx],
-                            topup_from as u32,
-                            &mut metrics,
-                        )
-                        .map_err(eval_err)?,
+                        delta_matches(&self.db, rule, plan, topup_from as u32, &mut metrics)
+                            .map_err(eval_err)?,
                     );
                 }
             } else {
                 // Index-free ablation baseline: plain sequential
                 // re-matching at the rule's turn, as in the original
                 // engine.
-                matches = match_body_with_metered(&mut self.db, rule, false, &mut metrics)
+                matches = match_rule(&self.db, rule, plan, &MatchChunk::full(false), &mut metrics)
                     .map_err(eval_err)?;
             }
             {
@@ -2370,8 +2314,7 @@ mod tests {
         let mut db = Database::new();
         db.add("person", &["alice".into()]);
         let cfg = ChaseConfig::default()
-            .with_max_rounds(50)
-            .with_max_facts(100);
+            .with_guard(RunGuard::new().with_max_rounds(50).with_max_facts(100));
         let result = ChaseSession::new(&p).with_config(cfg).run(db);
         match result {
             Err(ChaseError::ResourceExhausted {
@@ -2473,6 +2416,35 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.derived_facts, 1);
+    }
+
+    #[test]
+    fn delta_matches_dedup_across_pivots_in_premise_order() {
+        let rule = RuleBuilder::new("r")
+            .body(Atom::new(
+                "own",
+                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
+            ))
+            .body(Atom::new(
+                "own",
+                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
+            ))
+            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
+        let plan = JoinPlan::for_rule(&rule);
+        let mut db = Database::new();
+        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
+        let watermark = db.len() as u32;
+        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
+        db.add("own", &["C".into(), "D".into(), 0.8.into()]);
+        let mut metrics = MatchMetrics::default();
+        let ms = delta_matches(&db, &rule, &plan, watermark, &mut metrics).unwrap();
+        // B->C->D touches two new facts, so both pivots find it; it is
+        // returned once, after A->B->C.
+        let premises: Vec<Vec<FactId>> = ms.iter().map(|m| m.premises.clone()).collect();
+        assert_eq!(
+            premises,
+            vec![vec![FactId(0), FactId(1)], vec![FactId(1), FactId(2)]]
+        );
     }
 }
 
@@ -3029,10 +3001,12 @@ mod governance_tests {
         // program must come back as ResourceExhausted carrying a partial
         // RunReport, not hang.
         let program = unbounded_program();
-        let cfg = ChaseConfig::default()
-            .with_max_rounds(usize::MAX >> 1)
-            .with_max_facts(usize::MAX >> 1)
-            .with_guard(RunGuard::default().with_timeout(Duration::from_millis(50)));
+        let cfg = ChaseConfig::default().with_guard(
+            RunGuard::default()
+                .with_max_rounds(u64::MAX >> 1)
+                .with_max_facts(u64::MAX >> 1)
+                .with_timeout(Duration::from_millis(50)),
+        );
         let err = ChaseSession::new(&program)
             .with_config(cfg)
             .run(seed_person())
@@ -3100,20 +3074,22 @@ mod governance_tests {
     }
 
     #[test]
-    fn guard_round_budget_matches_legacy_limit() {
+    fn guard_round_budget_trips_deterministically() {
         let program = unbounded_program();
-        let via_guard = ChaseSession::new(&program)
-            .with_config(ChaseConfig::default().with_guard(RunGuard::default().with_max_rounds(3)))
-            .run(seed_person());
-        let via_legacy = ChaseSession::new(&program)
-            .with_config(ChaseConfig::default().with_max_rounds(3))
-            .run(seed_person());
+        let run = |threads| {
+            ChaseSession::new(&program)
+                .with_config(
+                    ChaseConfig::default().with_guard(RunGuard::default().with_max_rounds(3)),
+                )
+                .with_threads(threads)
+                .run(seed_person())
+        };
         let (
             Err(ChaseError::ResourceExhausted { partial: a, .. }),
             Err(ChaseError::ResourceExhausted { partial: b, .. }),
-        ) = (via_guard, via_legacy)
+        ) = (run(1), run(8))
         else {
-            panic!("both round limits must trip");
+            panic!("the round budget must trip");
         };
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(a.rounds, 3);

@@ -30,9 +30,9 @@
 //!   [`chrome::to_chrome_trace_for`] cuts one request's tree out of a
 //!   mixed collector by trace id.
 //!
-//! [`json`] holds the shared dependency-free JSON writer (re-exported
-//! as `vadalog::telemetry::JsonWriter` for existing callers) and the
-//! parser the exporter tests use to validate emitted documents.
+//! [`json`] holds the shared dependency-free JSON writer
+//! ([`JsonWriter`], re-exported here as `vadalog::obs::JsonWriter`) and
+//! the parser the exporter tests use to validate emitted documents.
 //!
 //! # Span taxonomy
 //!

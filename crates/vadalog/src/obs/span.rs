@@ -14,11 +14,9 @@
 //! Span *compilation* is unconditional — there is no feature gate on the
 //! instrumentation itself. With no collector installed, entering a span
 //! costs one relaxed atomic load and constructs nothing (the field
-//! closure is never called). The `tracing` cargo feature only arms a
-//! *default stderr sink* (active when the `VADALOG_TRACE` environment
-//! variable is set and no collector is installed); with a collector
-//! installed, feature-gated and default builds produce identical trace
-//! output.
+//! closure is never called). Setting the `VADALOG_TRACE` environment
+//! variable arms a *default stderr sink*, active while no collector is
+//! installed.
 //!
 //! ```
 //! use vadalog::obs::span::{install, uninstall, RingCollector};
@@ -235,8 +233,8 @@ fn dropped_total() -> &'static Arc<super::metrics::Counter> {
     })
 }
 
-/// A sink that prints one line per span to stderr (the `tracing`
-/// feature's default sink; also installable explicitly).
+/// A sink that prints one line per span to stderr (the `VADALOG_TRACE`
+/// default sink; also installable explicitly).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StderrSink;
 
@@ -263,7 +261,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// The installed collector. Read-locked per span close — uncontended in
 /// practice (installation is a test/startup-time event).
 static COLLECTOR: RwLock<Option<Arc<dyn SpanSink>>> = RwLock::new(None);
-/// Whether the feature-gated stderr fallback is armed (resolved once).
+/// Whether the `VADALOG_TRACE` stderr fallback is armed (resolved once).
 static STDERR_ARMED: OnceLock<bool> = OnceLock::new();
 /// Monotonic span-id source.
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -326,10 +324,9 @@ impl Drop for Capture {
     }
 }
 
-/// True iff the feature-gated stderr fallback should report spans.
+/// True iff the `VADALOG_TRACE` stderr fallback should report spans.
 fn stderr_armed() -> bool {
-    *STDERR_ARMED
-        .get_or_init(|| cfg!(feature = "tracing") && std::env::var_os("VADALOG_TRACE").is_some())
+    *STDERR_ARMED.get_or_init(|| std::env::var_os("VADALOG_TRACE").is_some())
 }
 
 /// Installs `sink` as the process-wide span collector, replacing any
@@ -342,7 +339,7 @@ pub fn install(sink: Arc<dyn SpanSink>) {
 }
 
 /// Removes the installed collector. Span observation stays on only if
-/// the `tracing` feature's stderr fallback is armed.
+/// the `VADALOG_TRACE` stderr fallback is armed.
 pub fn uninstall() {
     *COLLECTOR
         .write()
@@ -375,7 +372,13 @@ pub fn span_enabled() -> bool {
 /// (and the flight recorder's events) timestamps against, so exported
 /// spans and structured events correlate on one axis.
 pub(crate) fn now_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    ns_since_epoch(Instant::now())
+}
+
+/// `t` in nanoseconds since the process trace epoch.
+fn ns_since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(*EPOCH.get_or_init(|| t))
+        .as_nanos() as u64
 }
 
 /// This thread's dense trace id, assigned on first use.
@@ -427,13 +430,17 @@ impl Span {
             stack.push(id);
             parent
         });
+        // One clock read for both timestamps: a thread preempted between
+        // two reads would record an end earlier than its true one, and a
+        // child span could then extend outside its parent.
+        let start = Instant::now();
         Span(Some(ActiveSpan {
             id,
             parent,
             name,
             fields: fields(),
-            start_ns: now_ns(),
-            start: Instant::now(),
+            start_ns: ns_since_epoch(start),
+            start,
             trace: context::current(),
         }))
     }

@@ -3,7 +3,7 @@
 
 use crate::atom::Atom;
 use crate::database::Database;
-use crate::engine::match_body;
+use crate::engine::{match_rule, JoinPlan, MatchChunk, MatchMetrics};
 use crate::error::EvalError;
 use crate::expr::{Bindings, Condition};
 use crate::program::Program;
@@ -42,10 +42,17 @@ pub fn select(
         aggregate: None,
         head: Head::Falsum,
     };
-    Ok(match_body(db, &rule)?
-        .into_iter()
-        .map(|m| m.bindings)
-        .collect())
+    let plan = JoinPlan::for_rule(&rule);
+    for (pred, sig) in plan.required_composite_indexes(&rule) {
+        db.ensure_composite_index(pred, &sig);
+    }
+    let scope = MatchChunk::full(true);
+    Ok(
+        match_rule(db, &rule, &plan, &scope, &mut MatchMetrics::default())?
+            .into_iter()
+            .map(|m| m.bindings)
+            .collect(),
+    )
 }
 
 /// Checks an extensional database against a program: facts over unknown

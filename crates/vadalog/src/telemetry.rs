@@ -24,6 +24,7 @@
 //! Only wall-clock timings vary. [`RunReport::count_fingerprint`] renders
 //! exactly the invariant subset, for tests and regression tracking.
 
+use crate::obs::JsonWriter;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -119,9 +120,9 @@ impl Budget {
 
 /// Resource governance for one run: deadline, cancellation and budgets.
 ///
-/// The default guard is unlimited. Budgets set on the guard compose with
-/// the legacy [`ChaseConfig`](crate::engine::ChaseConfig) `max_rounds` /
-/// `max_facts` knobs: the tighter bound wins.
+/// The default guard sets no deadline, token or budget. Its budgets are
+/// a run's only limits: an unset round or fact budget arms to 10,000
+/// rounds or 5,000,000 facts, an unset memory budget to none.
 ///
 /// ```
 /// use std::time::Duration;
@@ -194,8 +195,15 @@ impl RunGuard {
     }
 }
 
-/// A [`RunGuard`] armed at a concrete start instant, with the legacy
-/// config limits folded in. Engine-internal; polled at safe points.
+/// The round budget of a run whose [`RunGuard`] sets none.
+pub(crate) const DEFAULT_MAX_ROUNDS: u64 = 10_000;
+
+/// The fact budget of a run whose [`RunGuard`] sets none.
+pub(crate) const DEFAULT_MAX_FACTS: u64 = 5_000_000;
+
+/// A [`RunGuard`] armed at a concrete start instant, with the default
+/// round and fact budgets filled in. Engine-internal; polled at safe
+/// points.
 #[derive(Clone, Debug)]
 pub(crate) struct ArmedGuard {
     deadline: Option<(Instant, Duration)>,
@@ -206,25 +214,14 @@ pub(crate) struct ArmedGuard {
 }
 
 impl ArmedGuard {
-    /// Arms `guard` at `start`, folding in the legacy limits (the tighter
-    /// bound wins).
-    pub(crate) fn arm(
-        guard: &RunGuard,
-        start: Instant,
-        legacy_max_rounds: usize,
-        legacy_max_facts: usize,
-    ) -> ArmedGuard {
+    /// Arms `guard` at `start`; unset round and fact budgets arm to the
+    /// defaults.
+    pub(crate) fn arm(guard: &RunGuard, start: Instant) -> ArmedGuard {
         ArmedGuard {
             deadline: guard.timeout.map(|t| (start + t, t)),
             cancel: guard.cancel.clone(),
-            max_rounds: guard
-                .max_rounds
-                .unwrap_or(u64::MAX)
-                .min(legacy_max_rounds as u64),
-            max_facts: guard
-                .max_facts
-                .unwrap_or(u64::MAX)
-                .min(legacy_max_facts as u64),
+            max_rounds: guard.max_rounds.unwrap_or(DEFAULT_MAX_ROUNDS),
+            max_facts: guard.max_facts.unwrap_or(DEFAULT_MAX_FACTS),
             max_bytes: guard.max_bytes,
         }
     }
@@ -595,11 +592,6 @@ impl RunReport {
     }
 }
 
-/// The dependency-free JSON writer, re-exported from its home in
-/// [`crate::obs::json`] for existing callers of
-/// `vadalog::telemetry::JsonWriter`.
-pub use crate::obs::json::JsonWriter;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,18 +606,36 @@ mod tests {
     }
 
     #[test]
-    fn armed_guard_trips_tightest_bound() {
-        let guard = RunGuard::new().with_max_rounds(100);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), 10, usize::MAX);
-        // Legacy max_rounds (10) is tighter than the guard's (100).
-        assert_eq!(armed.trip(11, 0, 0), Some((Budget::Rounds(10), 11)));
-        assert_eq!(armed.trip(10, 0, 0), None);
+    fn armed_guard_trips_just_past_its_round_budget() {
+        let guard = RunGuard::new().with_max_rounds(20_000);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
+        // A set budget replaces the default, looser or tighter.
+        assert_eq!(
+            armed.trip(20_001, 0, 0),
+            Some((Budget::Rounds(20_000), 20_001))
+        );
+        assert_eq!(armed.trip(20_000, 0, 0), None);
+    }
+
+    #[test]
+    fn unlimited_guard_trips_just_past_each_default_cap() {
+        let armed = ArmedGuard::arm(&RunGuard::new(), Instant::now());
+        let (rounds, facts) = (DEFAULT_MAX_ROUNDS, DEFAULT_MAX_FACTS);
+        assert_eq!(armed.trip(rounds, facts, u64::MAX), None);
+        assert_eq!(
+            armed.trip(rounds + 1, 0, 0),
+            Some((Budget::Rounds(rounds), rounds + 1))
+        );
+        assert_eq!(
+            armed.trip(0, facts + 1, 0),
+            Some((Budget::Facts(facts), facts + 1))
+        );
     }
 
     #[test]
     fn armed_guard_reports_fact_and_memory_budgets() {
         let guard = RunGuard::new().with_max_facts(5).with_max_bytes(100);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), usize::MAX, usize::MAX);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
         assert_eq!(armed.trip(1, 6, 0), Some((Budget::Facts(5), 6)));
         assert_eq!(armed.trip(1, 5, 101), Some((Budget::MemoryBytes(100), 101)));
         assert_eq!(armed.trip(1, 5, 100), None);
@@ -634,12 +644,7 @@ mod tests {
     #[test]
     fn expired_deadline_trips() {
         let guard = RunGuard::new().with_timeout(Duration::from_millis(1));
-        let armed = ArmedGuard::arm(
-            &guard,
-            Instant::now() - Duration::from_millis(10),
-            usize::MAX,
-            usize::MAX,
-        );
+        let armed = ArmedGuard::arm(&guard, Instant::now() - Duration::from_millis(10));
         match armed.interrupted() {
             Some((Budget::Deadline(t), observed)) => {
                 assert_eq!(t, Duration::from_millis(1));
@@ -654,7 +659,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let guard = RunGuard::new().with_cancel_token(token);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), usize::MAX, usize::MAX);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
         assert_eq!(armed.interrupted(), Some((Budget::Cancelled, 0)));
     }
 

@@ -7,7 +7,8 @@
 //! cycle: a plan entry fires on an exact hit count, so once it has fired
 //! the recovery run can never re-trigger it, and holding the guard keeps
 //! concurrently running tests from injecting faults into each other's
-//! recovery phases.
+//! recovery phases. Every chase runs under an armed plan, the
+//! uninterrupted reference under an empty one, for the same reason.
 
 #![cfg(feature = "faultpoints")]
 
@@ -73,8 +74,12 @@ fn fingerprint(out: &ChaseOutcome) -> String {
     s
 }
 
+/// The uninterrupted run. It holds an empty plan while it runs: arming
+/// takes the fault-plan lock, so no other test's armed plan can fire
+/// inside this chase.
 fn reference() -> (ParsedProgram, String, u64) {
     let parsed = scenario();
+    let _quiet = arm(FaultPlan::new());
     let out = ChaseSession::new(&parsed.program)
         .with_threads(1)
         .run(db(&parsed))

@@ -423,3 +423,123 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Pivot-scoped matching
+// ---------------------------------------------------------------------
+
+/// A match as a comparable key: premise vector, then rendered bindings.
+fn match_key(m: &vadalog::engine::BodyMatch) -> (Vec<FactId>, String) {
+    (m.premises.clone(), bindings_fingerprint(&m.bindings))
+}
+
+/// Checks, for every rule of `program` over `db`, every pivot `p` and
+/// every watermark in `watermarks`: the chunks of the `(p, w)` scope at 1
+/// and 3 parts, concatenated, hold exactly the full match's matches with
+/// `premises[p] >= w` — the same premise vectors, in body order, with
+/// the same bindings, as multisets.
+fn assert_pivot_scopes_partition_full_match(program: &Program, db: &Database, watermarks: &[u32]) {
+    use vadalog::engine::{match_rule, JoinPlan, MatchChunk, MatchMetrics};
+    for rule in program.rules() {
+        let plan = JoinPlan::for_rule(rule);
+        let mut metrics = MatchMetrics::default();
+        let full: Vec<_> = match_rule(db, rule, &plan, &MatchChunk::full(true), &mut metrics)
+            .unwrap()
+            .iter()
+            .map(match_key)
+            .collect();
+        for pivot in 0..plan.orders.len() {
+            for &w in watermarks {
+                let mut expected: Vec<_> = full
+                    .iter()
+                    .filter(|(p, _)| p[pivot].0 >= w)
+                    .cloned()
+                    .collect();
+                expected.sort();
+                for parts in [1usize, 3] {
+                    let mut got = Vec::new();
+                    for part in 0..parts {
+                        let scope = MatchChunk {
+                            pivot: Some((pivot, w)),
+                            part,
+                            parts,
+                            use_index: true,
+                        };
+                        got.extend(
+                            match_rule(db, rule, &plan, &scope, &mut metrics)
+                                .unwrap()
+                                .iter()
+                                .map(match_key),
+                        );
+                    }
+                    got.sort();
+                    assert_eq!(
+                        &got, &expected,
+                        "rule {} pivot {} watermark {} parts {}",
+                        rule.label, pivot, w, parts
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pivot scopes over the recursive negation-and-aggregation program's
+    /// chased store (EDB and derived facts, superseded aggregates
+    /// included).
+    #[test]
+    fn pivot_scopes_partition_the_full_match(
+        inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),
+        cut in 0.0f64..1.0,
+    ) {
+        let program = parse_program(
+            "o1: own(x, y, s), s > 0.5 -> control(x, y).
+             o2: company(x) -> control(x, x).
+             o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).
+             o4: company(x), not controlled(x) -> top(x).
+             o5: control(x, y), x != y -> controlled(y).
+             o6: control(x, y), own(x, y, s), m = min(s) -> cheapest(x, m).
+             o7: control(x, y), n = count(y) -> reach(x, n).
+             o8: reach(x, n), t = sum(n), t > 3 -> wide(t).",
+        )
+        .unwrap()
+        .program;
+        let mut db = Database::new();
+        for i in 0..10u8 {
+            db.add("company", &[format!("c{i}").as_str().into()]);
+        }
+        for (a, b, s) in &inputs {
+            if a == b { continue; }
+            db.add("own", &[
+                format!("c{a}").as_str().into(),
+                format!("c{b}").as_str().into(),
+                Value::Float(f64::from(*s) / 100.0),
+            ]);
+        }
+        let out = ChaseSession::new(&program).run(db).unwrap();
+        let len = out.database.len() as u32;
+        let watermarks = [0, (f64::from(len) * cut) as u32, len / 2, len];
+        assert_pivot_scopes_partition_full_match(&program, &out.database, &watermarks);
+    }
+
+    /// Pivot scopes over random chain programs' chased stores.
+    #[test]
+    fn pivot_scopes_partition_the_full_match_on_chains(
+        text in chain_program(),
+        inputs in prop::collection::vec((0u8..20, 0.0f64..1.0), 0..12),
+        cut in 0.0f64..1.0,
+    ) {
+        let program = parse_program(&text).unwrap().program;
+        let mut db = Database::new();
+        for (i, s) in &inputs {
+            db.add("p0", &[format!("e{i}").as_str().into(), Value::Float(*s)]);
+        }
+        let out = ChaseSession::new(&program).run(db).unwrap();
+        let len = out.database.len() as u32;
+        let watermarks = [0, (f64::from(len) * cut) as u32, len];
+        assert_pivot_scopes_partition_full_match(&program, &out.database, &watermarks);
+    }
+}
